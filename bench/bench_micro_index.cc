@@ -1,11 +1,13 @@
 // google-benchmark micro-benchmarks of the four spatial indexes:
-// build, window query and nearest-neighbour throughput.
+// build, window query and nearest-neighbour throughput. Every index reads
+// the points in Hilbert order, the order `PointDatabase` stores them in.
 
 #include <map>
 #include <memory>
 
 #include <benchmark/benchmark.h>
 
+#include "delaunay/hilbert.h"
 #include "index/grid_index.h"
 #include "index/kdtree.h"
 #include "index/quadtree.h"
@@ -41,7 +43,11 @@ const std::vector<Point>& SharedPoints(std::size_t n) {
   auto it = cache->find(n);
   if (it == cache->end()) {
     Rng rng(4242);
-    it = cache->emplace(n, GenerateUniformPoints(n, kUnit, &rng)).first;
+    const auto raw = GenerateUniformPoints(n, kUnit, &rng);
+    std::vector<Point> ordered;
+    ordered.reserve(n);
+    for (const std::uint32_t i : HilbertOrder(raw)) ordered.push_back(raw[i]);
+    it = cache->emplace(n, std::move(ordered)).first;
   }
   return it->second;
 }

@@ -21,12 +21,17 @@ namespace vaq {
 /// that).
 ///
 /// Implementations:
-///  * `TraditionalAreaQuery` — filter (window query on MBR) + refine;
+///  * `TraditionalAreaQuery` — filter (R-tree window query on MBR(A)) +
+///                             refine;
 ///  * `VoronoiAreaQuery`     — the paper's incremental candidate generation
 ///                             over the Voronoi/Delaunay graph (Algorithm 1),
-///                             in both expansion-rule modes;
+///                             seeded by one R-tree nearest-neighbour
+///                             lookup, in both expansion-rule modes;
 ///  * `GridSweepAreaQuery`   — raster filter baseline;
 ///  * `BruteForceAreaQuery`  — linear scan, ground truth for tests.
+///
+/// Both index-backed methods always read the database's own Hilbert-packed
+/// `RTree`; no other index can be injected.
 class AreaQuery {
  public:
   virtual ~AreaQuery() = default;

@@ -141,8 +141,8 @@ PointDatabase::PointDatabase(std::vector<Point> points, Options options)
   }
   // The array is already Hilbert-clustered, so the R-tree packs
   // consecutive runs into leaves instead of re-sorting (see
-  // `RTree::BuildClustered`).
-  rtree_.BuildClustered(points_);
+  // `RTree::Build`).
+  rtree_.Build(points_);
   options_storage_ = options.storage;
   // Programmatic spec wins; otherwise VAQ_FAULT_SPEC arms the fault
   // layer, so every existing harness doubles as a fault soak with no code

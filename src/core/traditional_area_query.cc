@@ -8,13 +8,6 @@
 
 namespace vaq {
 
-TraditionalAreaQuery::TraditionalAreaQuery(const PointDatabase* db,
-                                           const SpatialIndex* index,
-                                           Options options)
-    : db_(db),
-      index_(index != nullptr ? index : &db->rtree()),
-      options_(options) {}
-
 std::vector<PointId> TraditionalAreaQuery::Run(const Polygon& area,
                                                QueryContext& ctx) const {
   QueryStats* stats = &ctx.stats;
@@ -33,7 +26,7 @@ std::vector<PointId> TraditionalAreaQuery::Run(const Polygon& area,
         area, PreparedArea::EstimateMbrShare(db_->size(), db_->bounds(),
                                              area.Bounds()));
     std::vector<PointId>& candidates = ctx.ScratchCandidates();
-    index_->PolygonQuery(prep, &candidates, &filter_io);
+    db_->rtree().PolygonQuery(prep, &candidates, &filter_io);
     // Each returned object is one object IO, charged as one coherent
     // batch; the coordinates themselves are never inspected again.
     db_->ChargeFetches(candidates.size(), stats);
@@ -42,7 +35,7 @@ std::vector<PointId> TraditionalAreaQuery::Run(const Polygon& area,
   } else {
     // Filter: all points inside the MBR of the query area.
     std::vector<PointId>& candidates = ctx.ScratchCandidates();
-    index_->WindowQuery(area.Bounds(), &candidates, &filter_io);
+    db_->rtree().WindowQuery(area.Bounds(), &candidates, &filter_io);
 
     // The filter ran first, so the exact candidate count sizes the
     // prepared grid: the build cost amortises over this many point tests.

@@ -7,7 +7,7 @@
 namespace vaq {
 
 /// The classical filter-refine area query the paper compares against
-/// (Fig. 1a): window-query the spatial index with MBR(A) to get the
+/// (Fig. 1a): window-query the database's R-tree with MBR(A) to get the
 /// candidate set, then refine each candidate with a point-in-polygon test.
 ///
 /// The refine step runs a batched SoA kernel over the `PreparedArea` built
@@ -16,9 +16,6 @@ namespace vaq {
 /// only points landing in boundary cells pay an exact — but locally
 /// pruned — edge test. Results are identical to naive per-candidate
 /// `Polygon::Contains` validation, at a fraction of the cost.
-///
-/// The filter index defaults to the database's R-tree; an alternative
-/// `SpatialIndex` can be injected for the index-choice ablation.
 class TraditionalAreaQuery : public AreaQuery {
  public:
   /// How the index filter step works.
@@ -26,7 +23,7 @@ class TraditionalAreaQuery : public AreaQuery {
     /// Paper-faithful: `WindowQuery(MBR(A))`, then refine every candidate.
     /// `stats.candidates` is the MBR population, as in Tables I/II.
     kWindowMBR,
-    /// Polygon-aware: `SpatialIndex::PolygonQuery` prunes subtrees outside
+    /// Polygon-aware: `RTree::PolygonQuery` prunes subtrees outside
     /// A and bulk-accepts subtrees inside A during the traversal, so the
     /// filter output *is* the result set (candidates == results) and the
     /// refine step disappears. `stats.bulk_accepted` counts points never
@@ -38,15 +35,11 @@ class TraditionalAreaQuery : public AreaQuery {
     Filter filter = Filter::kWindowMBR;
   };
 
-  /// `db` must outlive this object. If `index` is null the database R-tree
-  /// is used; otherwise `index` (which must index `db->points()` — the
-  /// internal, Hilbert-ordered array, so ids agree — and also outlive
-  /// this object).
-  explicit TraditionalAreaQuery(const PointDatabase* db,
-                                const SpatialIndex* index = nullptr)
-      : TraditionalAreaQuery(db, index, Options{}) {}
-  TraditionalAreaQuery(const PointDatabase* db, const SpatialIndex* index,
-                       Options options);
+  /// `db` must outlive this object; its R-tree is the filter index.
+  explicit TraditionalAreaQuery(const PointDatabase* db)
+      : TraditionalAreaQuery(db, Options{}) {}
+  TraditionalAreaQuery(const PointDatabase* db, Options options)
+      : db_(db), options_(options) {}
 
   using AreaQuery::Run;
   std::vector<PointId> Run(const Polygon& area,
@@ -58,7 +51,6 @@ class TraditionalAreaQuery : public AreaQuery {
 
  private:
   const PointDatabase* db_;
-  const SpatialIndex* index_;
   Options options_;
 };
 

@@ -10,11 +10,8 @@
 
 namespace vaq {
 
-VoronoiAreaQuery::VoronoiAreaQuery(const PointDatabase* db, Options options,
-                                   const SpatialIndex* seed_index)
-    : db_(db),
-      options_(options),
-      seed_index_(seed_index != nullptr ? seed_index : &db->rtree()) {
+VoronoiAreaQuery::VoronoiAreaQuery(const PointDatabase* db, Options options)
+    : db_(db), options_(options) {
   if (options_.expansion == ExpansionRule::kCellOverlap) {
     db_->voronoi();  // Force construction up front, outside timed queries.
   }
@@ -59,12 +56,12 @@ std::vector<PointId> VoronoiAreaQuery::Run(const Polygon& area,
   IndexStats& seed_io = ctx.ScratchIndexStats();
 
   std::vector<PointId> result;
-  // Every exit — including the empty-database and invalid-seed early
-  // returns — funnels through this epilogue so the stats slot is never
-  // left half-filled after the Reset() above. Every result is a validated
-  // candidate (candidate_hits == results); the candidates that were
-  // visited but failed validation — the flood's boundary shell — are
-  // reported distinctly (candidates == candidate_hits + visited_rejected).
+  // Every exit — including the empty-database early return — funnels
+  // through this epilogue so the stats slot is never left half-filled
+  // after the Reset() above. Every result is a validated candidate
+  // (candidate_hits == results); the candidates that were visited but
+  // failed validation — the flood's boundary shell — are reported
+  // distinctly (candidates == candidate_hits + visited_rejected).
   const auto finish = [&]() -> std::vector<PointId> {
     ctx.SortIds(result, db_->size());
     stats->results = result.size();
@@ -96,8 +93,9 @@ std::vector<PointId> VoronoiAreaQuery::Run(const Polygon& area,
 
   // Line 3-4: seed = NN(P, arbitrary position in A).
   const Point seed_pos = area.InteriorPoint();
-  const PointId seed = seed_index_->NearestNeighbor(seed_pos, &seed_io);
-  if (seed == kInvalidPointId) return finish();
+  // The R-tree indexes exactly the n > 0 database points, so the seed is
+  // always a valid id.
+  const PointId seed = db_->rtree().NearestNeighbor(seed_pos, &seed_io);
 
   // P_candidate of Algorithm 1, processed one frontier generation at a
   // time instead of one point at a time: the whole frontier's geometry is

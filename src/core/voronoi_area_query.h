@@ -46,14 +46,11 @@ class VoronoiAreaQuery : public AreaQuery {
     ExpansionRule expansion = ExpansionRule::kPaperSegment;
   };
 
-  /// `db` must outlive this object. If `seed_index` is null the database
-  /// R-tree provides the seed NN lookup (the paper also uses an R-tree
-  /// here, "for fairness"); a non-null index must index `db->points()`
-  /// (the internal, Hilbert-ordered array) so ids agree.
+  /// `db` must outlive this object. Its R-tree provides the seed NN lookup
+  /// (the paper also uses an R-tree here, "for fairness").
   explicit VoronoiAreaQuery(const PointDatabase* db)
       : VoronoiAreaQuery(db, Options{}) {}
-  VoronoiAreaQuery(const PointDatabase* db, Options options,
-                   const SpatialIndex* seed_index = nullptr);
+  VoronoiAreaQuery(const PointDatabase* db, Options options);
 
   using AreaQuery::Run;
   std::vector<PointId> Run(const Polygon& area,
@@ -72,7 +69,6 @@ class VoronoiAreaQuery : public AreaQuery {
   // so one instance can serve concurrent queries.
   const PointDatabase* db_;
   Options options_;
-  const SpatialIndex* seed_index_;
 };
 
 }  // namespace vaq

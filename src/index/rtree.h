@@ -13,11 +13,9 @@ namespace vaq {
 /// it, and the Voronoi-based method issues a single `NearestNeighbor` call
 /// to find its seed.
 ///
+/// * `Build()` is the one bulk load: Hilbert packing, see below;
 /// * dynamic inserts use ChooseLeaf by least area enlargement and the
-///   quadratic split;
-/// * `Build()` bulk-loads with Sort-Tile-Recursive (Leutenegger et al.),
-///   producing near-100% leaf utilisation — this matches how an experiment
-///   database would be loaded;
+///   quadratic (or linear) split;
 /// * nearest-neighbour search is best-first over MINDIST
 ///   (Hjaltason & Samet 1999).
 class RTree : public SpatialIndex {
@@ -35,13 +33,13 @@ class RTree : public SpatialIndex {
   explicit RTree(int max_entries = 16, int min_entries = 6,
                  SplitStrategy split = SplitStrategy::kQuadratic);
 
+  /// Hilbert-packed bulk load; ids are positions in `points`. Consecutive
+  /// runs of `max_entries` points become leaves directly, with no sorting
+  /// at any level: one O(n) pass per level. `PointDatabase` stores its
+  /// points in Hilbert-curve order, where curve runs are spatially compact,
+  /// so the leaves come out tight. Input order affects only how tight the
+  /// MBRs are, never the result of any query.
   void Build(const std::vector<Point>& points) override;
-  /// Hilbert-packed bulk load: the input is promised to be in
-  /// space-filling-curve order, so consecutive runs of `max_entries`
-  /// points become leaves directly — no sorting at any level. One O(n)
-  /// pass per level versus STR's two O(n log n) sorts, with leaf MBRs
-  /// of comparable tightness (curve runs are spatially compact).
-  void BuildClustered(const std::vector<Point>& points) override;
   std::size_t size() const override { return count_; }
   void WindowQuery(const Box& window, std::vector<PointId>* out,
                    IndexStats* stats = nullptr) const override;

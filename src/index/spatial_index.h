@@ -44,9 +44,10 @@ struct IndexStats {
 /// Abstract interface shared by every point index in `src/index/`.
 ///
 /// The paper's two area-query implementations consume exactly two
-/// operations from this interface: `WindowQuery` (the traditional filter)
-/// and `NearestNeighbor` (the Voronoi method's seed lookup). The other
-/// operations round out the library and power the ablation benchmarks.
+/// operations, always on the database's `RTree`: `WindowQuery` (the
+/// traditional filter) and `NearestNeighbor` (the Voronoi method's seed
+/// lookup). The other indexes and operations round out the library and
+/// power the index micro-benchmarks.
 ///
 /// All query operations are const and touch no shared mutable state, so a
 /// built index may be queried from any number of threads concurrently.
@@ -58,17 +59,6 @@ class SpatialIndex {
   /// Bulk-loads the index from `points`; ids are assigned as positions in
   /// the vector. Replaces any previous content.
   virtual void Build(const std::vector<Point>& points) = 0;
-
-  /// Bulk-loads from a vector the caller promises is already spatially
-  /// clustered (consecutive positions ≈ spatial neighbours, e.g.
-  /// Hilbert-curve order — what `PointDatabase` stores). Indexes that can
-  /// exploit the ordering override this to pack consecutive runs directly
-  /// into leaves, skipping their own sorting passes; the default just
-  /// forwards to `Build`. Results of every query operation are identical
-  /// either way.
-  virtual void BuildClustered(const std::vector<Point>& points) {
-    Build(points);
-  }
 
   /// Number of indexed points.
   virtual std::size_t size() const = 0;

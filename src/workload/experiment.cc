@@ -165,19 +165,25 @@ ExperimentRow RunExperiment(const ExperimentConfig& config) {
   std::vector<Point> points = GeneratePoints(config.data_size, kUnitDomain,
                                              config.distribution, &data_rng);
 
-  // Time the two builds separately (the paper treats them as offline).
-  const auto t_rtree = std::chrono::steady_clock::now();
-  RTree throwaway_rtree;
-  throwaway_rtree.Build(points);
-  const double rtree_ms = MillisSince(t_rtree);
-
-  const auto t_delaunay = std::chrono::steady_clock::now();
+  // Build costs are reported apart from query costs (the paper treats
+  // them as offline).
+  const auto t_database = std::chrono::steady_clock::now();
   PointDatabase db(std::move(points), DatabaseOptions(config));
-  const double delaunay_ms = MillisSince(t_delaunay);
+  const double database_ms = MillisSince(t_database);
+
+  // Re-run the database's own R-tree load on the array it packs; the
+  // copy is freed before the queries run.
+  double rtree_ms = 0.0;
+  {
+    RTree rtree;
+    const auto t_rtree = std::chrono::steady_clock::now();
+    rtree.Build(db.points());
+    rtree_ms = MillisSince(t_rtree);
+  }
 
   ExperimentRow row = RunExperimentOnDatabase(db, config);
   row.build_rtree_ms = rtree_ms;
-  row.build_delaunay_ms = delaunay_ms;
+  row.build_delaunay_ms = database_ms;
   return row;
 }
 

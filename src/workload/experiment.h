@@ -112,7 +112,11 @@ struct ExperimentRow {
   /// The planned batch; only populated when `config.run_auto`.
   MethodAverages auto_planned;
   int mismatches = 0;          // Only populated when config.verify.
+  /// `RTree::Build` over the database's Hilbert-ordered points, the
+  /// load `PointDatabase` itself runs.
   double build_rtree_ms = 0.0;
+  /// The whole `PointDatabase` construction: Hilbert relabel, R-tree pack
+  /// and Delaunay triangulation.
   double build_delaunay_ms = 0.0;
 
   /// Relative savings of the Voronoi method, as the paper reports them.

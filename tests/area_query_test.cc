@@ -6,7 +6,6 @@
 #include "core/point_database.h"
 #include "core/traditional_area_query.h"
 #include "core/voronoi_area_query.h"
-#include "index/kdtree.h"
 #include "workload/point_generator.h"
 #include "workload/rng.h"
 
@@ -118,18 +117,6 @@ TEST_F(AreaQueryTest, RepeatedRunsAreDeterministic) {
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(q.Run(area, nullptr), first);
   }
-}
-
-TEST_F(AreaQueryTest, AlternativeSeedIndexGivesSameResult) {
-  // Paper: "the index used to provide the NN query in our method is also
-  // R-tree" — but any correct NN index must give the same answer.
-  KDTree kdtree;
-  kdtree.Build(db_->points());
-  const Polygon area({{0.2, 0.2}, {0.6, 0.3}, {0.7, 0.7}, {0.3, 0.6}});
-  const VoronoiAreaQuery with_rtree(db_.get());
-  const VoronoiAreaQuery with_kdtree(db_.get(), VoronoiAreaQuery::Options{},
-                                     &kdtree);
-  EXPECT_EQ(with_rtree.Run(area, nullptr), with_kdtree.Run(area, nullptr));
 }
 
 TEST(AreaQuerySmallDbTest, SinglePointDatabase) {

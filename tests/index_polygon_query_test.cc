@@ -11,6 +11,7 @@
 
 #include "core/point_database.h"
 #include "core/traditional_area_query.h"
+#include "delaunay/hilbert.h"
 #include "geometry/prepared_area.h"
 #include "index/grid_index.h"
 #include "index/kdtree.h"
@@ -38,8 +39,13 @@ class IndexPolygonQueryTest : public ::testing::Test {
  protected:
   void SetUp() override {
     Rng rng(321);
-    points_ = GeneratePoints(4000, kUnit, PointDistribution::kClustered,
-                             &rng);
+    const auto generated = GeneratePoints(
+        4000, kUnit, PointDistribution::kClustered, &rng);
+    // Hilbert order, the order `PointDatabase` stores points in and the
+    // one the packed R-tree load turns into tight leaves.
+    for (const std::uint32_t i : HilbertOrder(generated)) {
+      points_.push_back(generated[i]);
+    }
     indexes_.push_back(std::make_unique<RTree>());
     indexes_.push_back(std::make_unique<KDTree>());
     indexes_.push_back(std::make_unique<Quadtree>());
@@ -139,7 +145,7 @@ TEST_F(IndexPolygonQueryTest, TraditionalPolygonFilterMatchesWindowFilter) {
   const TraditionalAreaQuery window_filter(&db);
   TraditionalAreaQuery::Options options;
   options.filter = TraditionalAreaQuery::Filter::kPolygonIndex;
-  const TraditionalAreaQuery polygon_filter(&db, nullptr, options);
+  const TraditionalAreaQuery polygon_filter(&db, options);
   EXPECT_EQ(polygon_filter.Name(), "traditional-polyfilter");
 
   Rng qrng(31);

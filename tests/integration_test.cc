@@ -83,30 +83,6 @@ TEST(IntegrationTest, BulkAndIncrementalRTreesAnswerIdentically) {
   }
 }
 
-TEST(IntegrationTest, TraditionalQueryWorksOnIncrementallyBuiltIndex) {
-  // The traditional method with an injected dynamically-built index must
-  // equal the database's bulk-loaded R-tree result.
-  Rng rng(5);
-  const auto points = GenerateUniformPoints(3000, kUnit, &rng);
-  PointDatabase db(points);
-  // An injected index must index the database's internal (Hilbert-ordered)
-  // array so its ids agree with the database's id space.
-  RTree dynamic_tree(8, 3, RTree::SplitStrategy::kLinear);
-  dynamic_tree.Build({});
-  for (std::size_t i = 0; i < db.points().size(); ++i) {
-    dynamic_tree.Insert(db.points()[i], static_cast<PointId>(i));
-  }
-  const TraditionalAreaQuery with_bulk(&db);
-  const TraditionalAreaQuery with_dynamic(&db, &dynamic_tree);
-  Rng qrng(6);
-  PolygonSpec spec;
-  spec.query_size_fraction = 0.03;
-  for (int rep = 0; rep < 10; ++rep) {
-    const Polygon area = GenerateQueryPolygon(spec, kUnit, &qrng);
-    EXPECT_EQ(with_dynamic.Run(area, nullptr), with_bulk.Run(area, nullptr));
-  }
-}
-
 TEST(IntegrationTest, ExperimentRowMatchesDirectRuns) {
   // The experiment runner's averages must equal a hand-rolled loop over
   // the same seeds.

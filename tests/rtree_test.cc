@@ -1,3 +1,9 @@
+// Tests of the R-tree. The bulk-load cases build over unordered input
+// (uniform random, generator order): the Hilbert-packed load's input order
+// may loosen the node MBRs but must never change a query result. The
+// query properties over distributions and sizes run in
+// index_property_test.cc; the plain cases here add degenerate inputs.
+
 #include "index/rtree.h"
 
 #include <algorithm>
@@ -178,6 +184,79 @@ TEST(RTreeTest, DuplicateCoordinatesSupported) {
   EXPECT_EQ(out.size(), 50u);
   std::string why;
   EXPECT_TRUE(tree.CheckInvariants(&why)) << why;
+}
+
+TEST(RTreeTest, SinglePoint) {
+  RTree tree;
+  tree.Build({{0.3, 0.7}});
+  EXPECT_EQ(tree.Height(), 1);
+  EXPECT_EQ(tree.NearestNeighbor({0, 0}), 0u);
+  std::vector<PointId> out;
+  tree.WindowQuery(Box::FromExtents(0, 0.5, 0.5, 1), &out);
+  EXPECT_EQ(out, std::vector<PointId>{0});
+}
+
+TEST(RTreeTest, RebuildReplacesContent) {
+  RTree tree;
+  tree.Build(RandomPoints(100, 22));
+  tree.Build(RandomPoints(7, 23));
+  EXPECT_EQ(tree.size(), 7u);
+  std::vector<PointId> out;
+  tree.WindowQuery(Box::FromExtents(-1, -1, 2, 2), &out);
+  EXPECT_EQ(out.size(), 7u);
+  // An empty build empties the tree.
+  tree.Build({});
+  EXPECT_EQ(tree.size(), 0u);
+  EXPECT_EQ(tree.Height(), 0);
+  EXPECT_EQ(tree.NearestNeighbor({0.5, 0.5}), kInvalidPointId);
+  std::string why;
+  EXPECT_TRUE(tree.CheckInvariants(&why)) << why;
+}
+
+TEST(RTreeTest, CollinearInputHandled) {
+  std::vector<Point> points;
+  for (int i = 0; i < 200; ++i) points.push_back({i * 0.005, 0.5});
+  RTree tree;
+  tree.Build(points);
+  EXPECT_EQ(tree.NearestNeighbor({0.5024, 0.5}), 100u);
+  std::vector<PointId> out;
+  tree.WindowQuery(Box::FromExtents(0.1, 0.5, 0.2, 0.5), &out);
+  std::sort(out.begin(), out.end());
+  std::vector<PointId> expect;
+  for (PointId id = 20; id <= 40; ++id) expect.push_back(id);
+  EXPECT_EQ(out, expect);
+  std::string why;
+  EXPECT_TRUE(tree.CheckInvariants(&why)) << why;
+}
+
+TEST(RTreeTest, NearlyCoincidentPoints) {
+  // 64 points within 1e-15 of one spot: every node MBR is (almost) a point.
+  std::vector<Point> points;
+  for (int i = 0; i < 64; ++i) points.push_back({0.5, 0.5 + i * 1e-15});
+  RTree tree;
+  tree.Build(points);
+  std::vector<PointId> out;
+  tree.WindowQuery(Box::FromExtents(0.4, 0.4, 0.6, 0.6), &out);
+  EXPECT_EQ(out.size(), 64u);
+  EXPECT_EQ(tree.NearestNeighbor({0.5, 0.4}), 0u);
+  std::string why;
+  EXPECT_TRUE(tree.CheckInvariants(&why)) << why;
+}
+
+TEST(RTreeTest, QueriesOutsideDataBox) {
+  RTree tree;
+  const auto points = RandomPoints(100, 27);
+  tree.Build(points);
+  std::vector<PointId> out;
+  tree.WindowQuery(Box::FromExtents(5, 5, 6, 6), &out);
+  EXPECT_TRUE(out.empty());
+  // NN from far outside still finds the closest point.
+  const Point far{10, 10};
+  double best = 1e300;
+  for (const Point& p : points) best = std::min(best, SquaredDistance(p, far));
+  const PointId got = tree.NearestNeighbor(far);
+  ASSERT_NE(got, kInvalidPointId);
+  EXPECT_EQ(SquaredDistance(points[got], far), best);
 }
 
 }  // namespace
