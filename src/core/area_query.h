@@ -52,6 +52,19 @@ class AreaQuery {
   std::vector<PointId> Run(const Polygon& area,
                            QueryStats* stats = nullptr) const;
 
+  /// Answers `area` without executing anything when the answer is already
+  /// known (a result-cache hit): fills `ids` and `stats` and returns true.
+  /// Returns false, touching neither, when the query has to run. Cheap
+  /// enough for `QueryEngine::Submit` to call on the submitting thread
+  /// before it enqueues. The default knows no answers; only the planned
+  /// query, which owns a result cache, overrides it.
+  virtual bool TryServeCached(const Polygon& /*area*/,
+                              const PlanHints& /*hints*/,
+                              std::vector<PointId>& /*ids*/,
+                              QueryStats& /*stats*/) const {
+    return false;
+  }
+
   /// Implementation name for benchmark tables.
   virtual std::string_view Name() const = 0;
 };

@@ -10,7 +10,7 @@ namespace vaq {
 namespace {
 
 /// Per-worker cap on retained latency samples; reaching it halves the
-/// samples and doubles the recording stride (see WorkerState).
+/// samples and doubles the recording stride (see StatsSlot).
 constexpr std::size_t kMaxLatencySamples = 1 << 16;
 
 /// The engine whose WorkerLoop is running on this thread, if any.
@@ -52,8 +52,8 @@ void QueryEngine::Stop() {
   // racing the close either wins the queue's internal lock first (its
   // task drains normally) or observes closed and throws the typed error.
   std::lock_guard<std::mutex> lock(stop_mu_);
-  if (stopped_) return;
-  stopped_ = true;
+  if (stopped_.load()) return;
+  stopped_.store(true);
   queue_.Close();
   for (std::thread& t : workers_) t.join();
 }
@@ -111,7 +111,35 @@ std::future<QueryResult> QueryEngine::Submit(Polygon area, int method,
                                  std::chrono::duration<double, std::milli>(
                                      opts.deadline_ms)));
   }
+  if (std::optional<std::future<QueryResult>> served =
+          TryServeOnCaller(task)) {
+    return std::move(*served);
+  }
   return Enqueue(std::move(task), "QueryEngine::Submit");
+}
+
+std::optional<std::future<QueryResult>> QueryEngine::TryServeOnCaller(
+    Task& task) {
+  // A stopped engine serves nothing; Enqueue throws the typed error.
+  if (stopped_.load()) return std::nullopt;
+  QueryResult result;
+  try {
+    // Checked before the probe, so an aborted query leaves the cache
+    // counters alone — exactly as if a worker had failed it fast.
+    if (task.cancel != nullptr) task.cancel->Check();
+    // A cache hit has no candidate work left: answering it here saves the
+    // queue hop and worker wakeup, which cost more than the hit itself.
+    if (!task.query->TryServeCached(task.area, task.hints, result.ids,
+                                    result.stats)) {
+      return std::nullopt;
+    }
+  } catch (...) {
+    task.promise.set_exception(std::current_exception());
+    return task.promise.get_future();
+  }
+  Record(caller_stats_, task, result.stats);
+  task.promise.set_value(std::move(result));
+  return task.promise.get_future();
 }
 
 std::future<QueryResult> QueryEngine::SubmitWith(
@@ -141,6 +169,42 @@ bool QueryEngine::OnWorkerThread() const {
   return current_worker_engine == this;
 }
 
+void QueryEngine::Record(StatsSlot& slot, const Task& task,
+                         const QueryStats& stats) {
+  const double latency_ms =
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - task.submitted)
+          .count();
+  std::lock_guard<std::mutex> lock(slot.mu);
+  ++slot.completed;
+  if (slot.completed % slot.latency_stride == 0) {
+    slot.latencies_ms.push_back(latency_ms);
+    if (slot.latencies_ms.size() >= kMaxLatencySamples) {
+      // Decimate: keep every other sample, record half as often.
+      std::vector<double>& samples = slot.latencies_ms;
+      for (std::size_t i = 1; 2 * i < samples.size(); ++i) {
+        samples[i] = samples[2 * i];
+      }
+      samples.resize(samples.size() / 2);
+      slot.latency_stride *= 2;
+    }
+  }
+  if (slot.methods.size() <= static_cast<std::size_t>(task.method)) {
+    slot.methods.resize(task.method + 1);
+  }
+  MethodEngineStats& m = slot.methods[task.method];
+  if (m.name.empty()) m.name = std::string(task.query->Name());
+  ++m.queries;
+  m.degraded_queries += stats.degraded;
+  m.totals.MergeFrom(stats);
+}
+
+template <typename Fn>
+void QueryEngine::ForEachSlot(Fn fn) const {
+  for (const std::unique_ptr<WorkerState>& state : states_) fn(state->stats);
+  fn(caller_stats_);
+}
+
 void QueryEngine::WorkerLoop(WorkerState* state) {
   current_worker_engine = this;
   while (std::optional<Task> task = queue_.Pop()) {
@@ -164,42 +228,9 @@ void QueryEngine::WorkerLoop(WorkerState* state) {
       continue;
     }
     result.stats = state->ctx.stats;
-    const double latency_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - task->submitted)
-            .count();
-
-    if (task->method < 0) {
-      // Ad-hoc fan-out leg (SubmitWith): deliver the result but keep it
-      // out of the engine's client-query statistics.
-      task->promise.set_value(std::move(result));
-      continue;
-    }
-
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      ++state->completed;
-      if (state->completed % state->latency_stride == 0) {
-        state->latencies_ms.push_back(latency_ms);
-        if (state->latencies_ms.size() >= kMaxLatencySamples) {
-          // Decimate: keep every other sample, record half as often.
-          std::vector<double>& samples = state->latencies_ms;
-          for (std::size_t i = 1; 2 * i < samples.size(); ++i) {
-            samples[i] = samples[2 * i];
-          }
-          samples.resize(samples.size() / 2);
-          state->latency_stride *= 2;
-        }
-      }
-      if (state->methods.size() <= static_cast<std::size_t>(task->method)) {
-        state->methods.resize(task->method + 1);
-      }
-      MethodEngineStats& m = state->methods[task->method];
-      if (m.name.empty()) m.name = std::string(task->query->Name());
-      ++m.queries;
-      m.degraded_queries += result.stats.degraded;
-      m.totals.MergeFrom(result.stats);
-    }
+    // Ad-hoc fan-out legs (SubmitWith) deliver their result but stay out
+    // of the engine's client-query statistics.
+    if (task->method >= 0) Record(state->stats, *task, result.stats);
     task->promise.set_value(std::move(result));
   }
 }
@@ -207,23 +238,23 @@ void QueryEngine::WorkerLoop(WorkerState* state) {
 EngineStats QueryEngine::Stats() const {
   EngineStats out;
   std::vector<double> latencies;
-  for (const std::unique_ptr<WorkerState>& state : states_) {
-    std::lock_guard<std::mutex> lock(state->mu);
-    out.queries_completed += state->completed;
-    latencies.insert(latencies.end(), state->latencies_ms.begin(),
-                     state->latencies_ms.end());
-    if (out.methods.size() < state->methods.size()) {
-      out.methods.resize(state->methods.size());
+  ForEachSlot([&](StatsSlot& slot) {
+    std::lock_guard<std::mutex> lock(slot.mu);
+    out.queries_completed += slot.completed;
+    latencies.insert(latencies.end(), slot.latencies_ms.begin(),
+                     slot.latencies_ms.end());
+    if (out.methods.size() < slot.methods.size()) {
+      out.methods.resize(slot.methods.size());
     }
-    for (std::size_t i = 0; i < state->methods.size(); ++i) {
-      const MethodEngineStats& m = state->methods[i];
+    for (std::size_t i = 0; i < slot.methods.size(); ++i) {
+      const MethodEngineStats& m = slot.methods[i];
       MethodEngineStats& agg = out.methods[i];
       if (agg.name.empty()) agg.name = m.name;
       agg.queries += m.queries;
       agg.degraded_queries += m.degraded_queries;
       agg.totals.MergeFrom(m.totals);
     }
-  }
+  });
   {
     std::lock_guard<std::mutex> lock(window_mu_);
     out.wall_ms = std::chrono::duration<double, std::milli>(
@@ -242,13 +273,13 @@ EngineStats QueryEngine::Stats() const {
 }
 
 void QueryEngine::ResetStats() {
-  for (const std::unique_ptr<WorkerState>& state : states_) {
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->completed = 0;
-    state->latency_stride = 1;
-    state->latencies_ms.clear();
-    state->methods.clear();
-  }
+  ForEachSlot([](StatsSlot& slot) {
+    std::lock_guard<std::mutex> lock(slot.mu);
+    slot.completed = 0;
+    slot.latency_stride = 1;
+    slot.latencies_ms.clear();
+    slot.methods.clear();
+  });
   std::lock_guard<std::mutex> lock(window_mu_);
   window_start_ = std::chrono::steady_clock::now();
 }

@@ -1,11 +1,13 @@
 #ifndef VAQ_ENGINE_QUERY_ENGINE_H_
 #define VAQ_ENGINE_QUERY_ENGINE_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -130,14 +132,22 @@ class QueryEngine {
   /// returns its method id for `Submit`/`RunBatch`.
   int RegisterMethod(const AreaQuery* query);
 
-  /// Enqueues one query; the future resolves with its result and stats.
-  /// Blocks while the work queue is full (unless
-  /// `EngineOptions::shed_on_full`, which throws `EngineOverloadedError`
-  /// instead). Throws `EngineStoppedError` after `Stop()`. With a
+  /// Submits one query; the future resolves with its result and stats.
+  ///
+  /// A query whose answer is already known — a result-cache hit of a
+  /// planned method (`AreaQuery::TryServeCached`) — is answered on the
+  /// calling thread: the returned future is already satisfied, nothing is
+  /// enqueued and no worker wakes. A hit is therefore never blocked or
+  /// shed by a full queue. Every other query is enqueued: `Submit` blocks
+  /// while the work queue is full (unless `EngineOptions::shed_on_full`,
+  /// which throws `EngineOverloadedError` instead).
+  ///
+  /// Throws `EngineStoppedError` after `Stop()`, hit or not. With a
   /// deadline or cancel token in `opts`, the query aborts cooperatively
-  /// — a queued task past its deadline fails fast without running, a
-  /// running one observes the token at its next block boundary — and the
-  /// future delivers `QueryAbortedError`.
+  /// — a token already expired at submission, or a queued task past its
+  /// deadline, fails fast without running; a running one observes the
+  /// token at its next block boundary — and the future (never `Submit`
+  /// itself) delivers `QueryAbortedError`.
   std::future<QueryResult> Submit(Polygon area, int method = 0,
                                   SubmitOptions opts = {});
 
@@ -196,24 +206,40 @@ class QueryEngine {
     std::promise<QueryResult> promise;
   };
 
-  /// Counters a worker accumulates locally; folded into EngineStats under
-  /// the worker's own mutex so `Stats()` never blocks the whole pool.
+  /// Counters of completed client queries, accumulated under the slot's
+  /// own mutex and folded into EngineStats by `Stats()`, so no one lock
+  /// serialises the whole pool. Each worker owns one slot; one more
+  /// collects the cache hits `Submit` serves on submitting threads.
   ///
   /// Latency samples are decimated once they reach a cap (keep every
   /// other sample, double the recording stride), so an open-ended query
   /// stream holds percentile memory bounded while the samples stay
   /// uniformly spread over the stats window.
-  struct WorkerState {
+  struct StatsSlot {
     std::mutex mu;
-    QueryContext ctx;  // Touched only by the owning worker.
     std::uint64_t completed = 0;
     std::uint64_t latency_stride = 1;  // Record every stride-th query.
     std::vector<double> latencies_ms;
     std::vector<MethodEngineStats> methods;
   };
 
+  struct WorkerState {
+    QueryContext ctx;  // Touched only by the owning worker.
+    StatsSlot stats;
+  };
+
   void WorkerLoop(WorkerState* state);
   std::future<QueryResult> Enqueue(Task task, const char* site);
+  /// Serves `task` on the calling thread if its token is already expired
+  /// (the future carries the abort) or its answer is cached; returns
+  /// nullopt when the task has to be enqueued.
+  std::optional<std::future<QueryResult>> TryServeOnCaller(Task& task);
+  /// Records one completed client query of `task` into `slot`.
+  static void Record(StatsSlot& slot, const Task& task,
+                     const QueryStats& stats);
+  /// Calls `fn` on every stats slot: the workers', then the caller slot.
+  template <typename Fn>
+  void ForEachSlot(Fn fn) const;
 
   EngineOptions options_;
 
@@ -224,8 +250,13 @@ class QueryEngine {
   std::vector<std::unique_ptr<WorkerState>> states_;
   std::vector<std::thread> workers_;
 
-  std::mutex stop_mu_;
-  bool stopped_ = false;
+  /// Hits served on submitting threads (see `StatsSlot`).
+  mutable StatsSlot caller_stats_;
+
+  std::mutex stop_mu_;  // Serialises Stop().
+  /// Set by Stop() before the queue closes; atomic so `Submit` can read
+  /// it without the lock (a stopped engine serves no hits either).
+  std::atomic<bool> stopped_{false};
 
   mutable std::mutex window_mu_;
   std::chrono::steady_clock::time_point window_start_;

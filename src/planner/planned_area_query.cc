@@ -161,33 +161,59 @@ std::vector<PointId> PlannedAreaQuery::Run(const Polygon& area,
   return RunPlanned(area, ctx, hints != nullptr ? *hints : PlanHints{});
 }
 
+bool PlannedAreaQuery::ServeCached(const Pinned& pinned,
+                                   const ResultCache::Key& key,
+                                   const PlanHints& hints,
+                                   std::chrono::steady_clock::time_point t0,
+                                   bool count_miss, std::vector<PointId>& ids,
+                                   QueryStats& stats) const {
+  const std::shared_ptr<const std::vector<PointId>> cached =
+      cache_.Lookup(key, count_miss);
+  if (cached == nullptr) return false;
+  // Served without execution: the work counters stay 0 (nothing ran),
+  // only the result size, the plan provenance and the hit flag are
+  // reported.
+  const QueryPlan plan = planner_.Plan(pinned.features, hints);
+  ids = *cached;
+  stats.Reset();
+  stats.results = ids.size();
+  stats.result_cache_hits = 1;
+  stats.plan_method = MethodBit(plan.method);
+  stats.plan_reason = plan.reason | plan_reason::kCacheHit;
+  stats.elapsed_ms = std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+  return true;
+}
+
+bool PlannedAreaQuery::TryServeCached(const Polygon& area,
+                                      const PlanHints& hints,
+                                      std::vector<PointId>& ids,
+                                      QueryStats& stats) const {
+  if (!hints.use_cache || cache_.capacity() == 0) return false;
+  const auto t0 = std::chrono::steady_clock::now();
+  const Pinned pinned = Pin(area);
+  return ServeCached(pinned, {pinned.version, HashPolygonBits(area)}, hints,
+                     t0, /*count_miss=*/false, ids, stats);
+}
+
 std::vector<PointId> PlannedAreaQuery::RunPlanned(
     const Polygon& area, QueryContext& ctx, const PlanHints& hints) const {
   const auto t0 = std::chrono::steady_clock::now();
   const Pinned pinned = Pin(area);
-  const QueryPlan plan = planner_.Plan(pinned.features, hints);
   const bool caching = hints.use_cache && cache_.capacity() > 0;
 
   ResultCache::Key key;
   if (caching) {
     key = ResultCache::Key{pinned.version, HashPolygonBits(area)};
-    if (const std::shared_ptr<const std::vector<PointId>> ids =
-            cache_.Lookup(key)) {
-      // Served without execution: the work counters stay 0 (nothing
-      // ran), only the result size, the plan provenance and the hit flag
-      // are reported.
-      ctx.stats.Reset();
-      ctx.stats.results = ids->size();
-      ctx.stats.result_cache_hits = 1;
-      ctx.stats.plan_method = MethodBit(plan.method);
-      ctx.stats.plan_reason = plan.reason | plan_reason::kCacheHit;
-      ctx.stats.elapsed_ms = std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() - t0)
-                                 .count();
-      return *ids;
+    std::vector<PointId> ids;
+    if (ServeCached(pinned, key, hints, t0, /*count_miss=*/true, ids,
+                    ctx.stats)) {
+      return ids;
     }
   }
 
+  const QueryPlan plan = planner_.Plan(pinned.features, hints);
   // Pre-warm the prepared structure sized for the *predicted* test count,
   // so the execution's own `Prepared(area, ...)` calls memo-hit against a
   // grid already matched to the plan.

@@ -1,6 +1,7 @@
 #ifndef VAQ_PLANNER_PLANNED_AREA_QUERY_H_
 #define VAQ_PLANNER_PLANNED_AREA_QUERY_H_
 
+#include <chrono>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -21,16 +22,20 @@ namespace vaq {
 ///
 /// Per query:
 ///  1. Pin the backend's current snapshot (static backends are version 0
-///     forever — they cannot mutate).
-///  2. Compute `PlanFeatures` (live size, the polygon's MBR/area shares
-///     of the database bounds, the backend's IO configuration) and ask
-///     the planner for a `QueryPlan` — method, sharded fanout call,
-///     prepared-kernel sizing, reason bits.
-///  3. Probe the result cache under (snapshot version, polygon bit-hash).
+///     forever — they cannot mutate) and compute `PlanFeatures` (live
+///     size, the polygon's MBR/area shares of the database bounds, the
+///     backend's IO configuration).
+///  2. Probe the result cache under (snapshot version, polygon bit-hash).
 ///     A hit returns the cached ids without executing anything: the COW
 ///     snapshot counter guarantees the pinned version saw no mutation
 ///     since the entry was stored, and the bit-hash keys on the exact
 ///     vertex bits, so the cached answer is bit-identical to a fresh run.
+///     The hit is still planned, so its stats carry the plan provenance.
+///     `TryServeCached` is this step alone — what `QueryEngine::Submit`
+///     runs on the submitting thread — and `RunPlanned` serves its hits
+///     through the same function.
+///  3. Ask the planner for a `QueryPlan` — method, sharded fanout call,
+///     prepared-kernel sizing, reason bits.
 ///  4. On a miss, pre-warm `ctx.Prepared(area, plan.expected_tests)` so
 ///     the prepared kernel sizes its raster grid against the *predicted*
 ///     workload, execute the planned method against the pinned snapshot
@@ -83,6 +88,13 @@ class PlannedAreaQuery final : public AreaQuery {
   std::vector<PointId> RunPlanned(const Polygon& area, QueryContext& ctx,
                                   const PlanHints& hints) const;
 
+  /// Steps 1-2 only: serves a result-cache hit exactly as `RunPlanned`
+  /// would (same ids, same stats). A miss returns false without counting
+  /// it; the `RunPlanned` that follows counts it.
+  bool TryServeCached(const Polygon& area, const PlanHints& hints,
+                      std::vector<PointId>& ids,
+                      QueryStats& stats) const override;
+
   /// What would run, without running it (CLI/bench plan reporting). Pins
   /// and releases a snapshot; does not touch the cache or the EWMAs.
   QueryPlan PlanFor(const Polygon& area, const PlanHints& hints = {}) const;
@@ -98,6 +110,14 @@ class PlannedAreaQuery final : public AreaQuery {
   /// Features + pinned-version context of one planning round.
   struct Pinned;
   Pinned Pin(const Polygon& area) const;
+
+  /// The one cache-hit path: looks `key` up and, on a hit, plans the
+  /// query for its provenance and fills `ids`/`stats`. `t0` is when the
+  /// query started; a miss is counted only with `count_miss`.
+  bool ServeCached(const Pinned& pinned, const ResultCache::Key& key,
+                   const PlanHints& hints,
+                   std::chrono::steady_clock::time_point t0, bool count_miss,
+                   std::vector<PointId>& ids, QueryStats& stats) const;
 
   std::vector<PointId> Execute(const Pinned& pinned, const QueryPlan& plan,
                                const Polygon& area, QueryContext& ctx) const;

@@ -23,11 +23,11 @@ std::uint64_t HashPolygonBits(const Polygon& area) {
 }
 
 std::shared_ptr<const std::vector<PointId>> ResultCache::Lookup(
-    const Key& key) {
+    const Key& key, bool count_miss) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);
   if (it == index_.end()) {
-    ++misses_;
+    if (count_miss) ++misses_;
     return nullptr;
   }
   ++hits_;

@@ -59,7 +59,11 @@ class ResultCache {
   };
 
   /// Returns the cached ids and refreshes LRU recency, or null on miss.
-  std::shared_ptr<const std::vector<PointId>> Lookup(const Key& key);
+  /// A hit always counts; a miss counts only with `count_miss`. A probe
+  /// whose miss falls through to a counted lookup passes false, so every
+  /// query's outcome is counted exactly once.
+  std::shared_ptr<const std::vector<PointId>> Lookup(const Key& key,
+                                                     bool count_miss = true);
 
   /// Offers `ids` for caching under `key`. Admitted — stored, evicting
   /// the least recently used entry beyond capacity — only when the

@@ -1,5 +1,6 @@
 #include "server/protocol.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -23,18 +24,50 @@ T ByteSwapIfBig(T v) {
   return v;
 }
 
+/// Writes `v` little-endian at `p`; returns the byte past it.
+template <typename T>
+std::uint8_t* WriteInt(std::uint8_t* p, T v) {
+  const T le = ByteSwapIfBig(v);
+  std::memcpy(p, &le, sizeof(T));
+  return p + sizeof(T);
+}
+
 template <typename T>
 void PutInt(std::vector<std::uint8_t>& out, T v) {
-  const T le = ByteSwapIfBig(v);
   const std::size_t at = out.size();
   out.resize(at + sizeof(T));
-  std::memcpy(out.data() + at, &le, sizeof(T));
+  WriteInt(out.data() + at, v);
 }
 
 void PutDouble(std::vector<std::uint8_t>& out, double v) {
   std::uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
   PutInt<std::uint64_t>(out, bits);
+}
+
+/// Writes the 12 header bytes of a frame at `p`; returns the byte past
+/// them.
+std::uint8_t* WriteFrameHeader(std::uint8_t* p, Opcode opcode,
+                               std::size_t payload_len) {
+  std::memcpy(p, kFrameMagic, sizeof(kFrameMagic));
+  p += sizeof(kFrameMagic);
+  *p++ = kProtocolVersion;
+  *p++ = static_cast<std::uint8_t>(opcode);
+  *p++ = 0;  // flags
+  *p++ = 0;
+  return WriteInt(p, static_cast<std::uint32_t>(payload_len));
+}
+
+std::size_t ResultIdsPayloadBytes(std::size_t count) { return 8 + 8 * count; }
+
+/// Writes a `kResultIds` payload (count, reserved, ids) at `p`; returns
+/// the byte past it.
+std::uint8_t* WriteResultIdsPayload(std::uint8_t* p,
+                                    std::span<const PointId> ids) {
+  p = WriteInt(p, static_cast<std::uint32_t>(ids.size()));
+  p = WriteInt(p, std::uint32_t{0});  // reserved
+  for (const PointId id : ids) p = WriteInt(p, std::uint64_t{id});
+  return p;
 }
 
 /// Reader over a payload span; every Get throws kTruncatedPayload when
@@ -161,14 +194,10 @@ FrameHeader DecodeFrameHeader(std::span<const std::uint8_t> bytes) {
 
 void AppendFrame(std::vector<std::uint8_t>& out, Opcode opcode,
                  std::span<const std::uint8_t> payload) {
-  out.reserve(out.size() + kFrameHeaderBytes + payload.size());
-  out.insert(out.end(), kFrameMagic, kFrameMagic + sizeof(kFrameMagic));
-  out.push_back(kProtocolVersion);
-  out.push_back(static_cast<std::uint8_t>(opcode));
-  out.push_back(0);  // flags
-  out.push_back(0);
-  PutInt<std::uint32_t>(out, static_cast<std::uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
+  const std::size_t at = out.size();
+  out.resize(at + kFrameHeaderBytes + payload.size());
+  std::uint8_t* p = WriteFrameHeader(out.data() + at, opcode, payload.size());
+  if (!payload.empty()) std::memcpy(p, payload.data(), payload.size());
 }
 
 // --- Requests ----------------------------------------------------------------
@@ -264,12 +293,8 @@ PointId DecodeEraseRequest(std::span<const std::uint8_t> payload) {
 
 std::vector<std::uint8_t> EncodeResultIdsPayload(
     std::span<const PointId> ids) {
-  std::vector<std::uint8_t> out;
-  PutInt<std::uint32_t>(out, static_cast<std::uint32_t>(ids.size()));
-  PutInt<std::uint32_t>(out, 0);  // reserved
-  for (const PointId id : ids) {
-    PutInt<std::uint64_t>(out, id);
-  }
+  std::vector<std::uint8_t> out(ResultIdsPayloadBytes(ids.size()));
+  WriteResultIdsPayload(out.data(), ids);
   return out;
 }
 
@@ -330,6 +355,28 @@ std::vector<std::uint8_t> EncodeQueryStatsPayload(const WireQueryStats& s) {
   PutInt<std::uint64_t>(out, s.shards_pruned);
   PutInt<std::uint64_t>(out, s.degraded);
   PutDouble(out, s.elapsed_ms);
+  return out;
+}
+
+std::vector<std::uint8_t> EncodeQueryResponse(std::span<const PointId> ids,
+                                              const WireQueryStats& stats) {
+  const std::vector<std::uint8_t> done = EncodeQueryStatsPayload(stats);
+  const std::size_t frames = (ids.size() + kIdsPerFrame - 1) / kIdsPerFrame;
+  // Every id frame: header, 8-byte count/reserved prefix, 8 bytes per id.
+  const std::size_t id_bytes =
+      frames * (kFrameHeaderBytes + 8) + 8 * ids.size();
+  std::vector<std::uint8_t> out;
+  out.reserve(id_bytes + kFrameHeaderBytes + done.size());
+  out.resize(id_bytes);
+  std::uint8_t* p = out.data();
+  for (std::size_t at = 0; at < ids.size(); at += kIdsPerFrame) {
+    const std::span<const PointId> chunk =
+        ids.subspan(at, std::min(kIdsPerFrame, ids.size() - at));
+    p = WriteFrameHeader(p, Opcode::kResultIds,
+                         ResultIdsPayloadBytes(chunk.size()));
+    p = WriteResultIdsPayload(p, chunk);
+  }
+  AppendFrame(out, Opcode::kQueryDone, done);
   return out;
 }
 

@@ -189,6 +189,14 @@ WireQueryStats SummarizeQueryStats(const QueryStats& stats);
 std::vector<std::uint8_t> EncodeQueryStatsPayload(const WireQueryStats& s);
 WireQueryStats DecodeQueryStatsPayload(std::span<const std::uint8_t> payload);
 
+/// The complete response to a query: `ids` as `kResultIds` frames of at
+/// most `kIdsPerFrame` ids each (none for an empty result), then the
+/// terminal `kQueryDone` frame. Sized once and written in place — the
+/// same bytes as appending each `EncodeResultIdsPayload` chunk and the
+/// stats payload with `AppendFrame`, without the per-frame temporaries.
+std::vector<std::uint8_t> EncodeQueryResponse(std::span<const PointId> ids,
+                                              const WireQueryStats& stats);
+
 /// `kMutated` payload: u8 ok, 7 reserved bytes, u64 value (assigned id
 /// for inserts; 0 otherwise).
 struct WireMutationResult {

@@ -5,7 +5,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <optional>
@@ -399,16 +398,9 @@ std::vector<std::uint8_t> QueryServer::HandleQuery(
   }
 
   // Stream the ids in fixed-size frames, then the terminal stats frame.
-  std::vector<std::uint8_t> out;
-  const std::span<const PointId> ids(result.ids);
-  for (std::size_t at = 0; at < ids.size(); at += kIdsPerFrame) {
-    AppendFrame(out, Opcode::kResultIds,
-                EncodeResultIdsPayload(
-                    ids.subspan(at, std::min(kIdsPerFrame, ids.size() - at))));
-  }
   WireQueryStats stats = SummarizeQueryStats(result.stats);
   stats.results = result.ids.size();
-  AppendFrame(out, Opcode::kQueryDone, EncodeQueryStatsPayload(stats));
+  std::vector<std::uint8_t> out = EncodeQueryResponse(result.ids, stats);
   {
     std::lock_guard<std::mutex> lock(counters_mu_);
     ++counters_.queries_ok;

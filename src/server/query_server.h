@@ -24,10 +24,12 @@ namespace vaq {
 /// pool and streams results back.
 ///
 /// **Threading model.** One accept thread plus one thread per connection
-/// — connection threads do only parsing and IO; all query *work* funnels
-/// through the engine pool via `Submit`, so CPU parallelism is bounded by
-/// `Options::engine_threads` regardless of connection count, and engine
-/// statistics stay in units of client queries.
+/// — connection threads do parsing and IO, and every query goes through
+/// `QueryEngine::Submit`, so executions run on the engine pool (CPU
+/// parallelism bounded by `Options::engine_threads` regardless of
+/// connection count) and engine statistics stay in units of client
+/// queries. A result-cache hit is the exception: `Submit` answers it on
+/// the connection thread, with no queue hop, and it is never shed.
 ///
 /// **Planner routing.** The engine method the server registers is the
 /// database's `PlannedQuery()` — every network query plans, feeds the

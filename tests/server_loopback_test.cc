@@ -280,8 +280,16 @@ TEST_F(ServerLoopbackTest, OverloadShedsWithRetryLater) {
   options.engine_threads = 1;
   options.engine_queue_capacity = 1;
   StartServer(20000, options);
-  const std::string wkt =
-      ToWkt(Polygon{{{0.02, 0.02}, {0.98, 0.02}, {0.98, 0.98}, {0.02, 0.98}}});
+
+  // Load and burst both bypass the result cache: a repeated polygon would
+  // become a hit, answered on the connection thread without ever holding
+  // the queue or being shed. The 9% square keeps each execution short
+  // enough that, even under a sanitizer, the queue turns over many times
+  // within the burst's 400 attempts.
+  WireQueryRequest slow;
+  slow.wkt =
+      ToWkt(Polygon{{{0.35, 0.35}, {0.65, 0.35}, {0.65, 0.65}, {0.35, 0.65}}});
+  slow.use_cache = false;
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> load;
@@ -290,7 +298,7 @@ TEST_F(ServerLoopbackTest, OverloadShedsWithRetryLater) {
       QueryClient c(server_->port());
       while (!stop.load()) {
         try {
-          c.Query(wkt);
+          c.Query(slow);
         } catch (const ServerError& e) {
           ASSERT_EQ(e.code(), WireErrorCode::kRetryLater);
         }
@@ -303,7 +311,7 @@ TEST_F(ServerLoopbackTest, OverloadShedsWithRetryLater) {
   bool succeeded = false;
   for (int attempt = 0; attempt < 400 && !(shed && succeeded); ++attempt) {
     try {
-      client.Query(wkt);
+      client.Query(slow);
       succeeded = true;
     } catch (const ServerError& e) {
       ASSERT_EQ(e.code(), WireErrorCode::kRetryLater)

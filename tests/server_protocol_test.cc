@@ -1,5 +1,6 @@
 #include "server/protocol.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <span>
@@ -174,6 +175,59 @@ TEST(ProtocolPayloadTest, ResultIdsRoundTripAndRejectCountMismatch) {
   bad[2] = 0xFF;
   bad[3] = 0x7F;
   EXPECT_THROW(DecodeResultIdsPayload(bad), ProtocolError);
+}
+
+/// Byte-at-a-time little-endian append, independent of the encoder's own
+/// helpers, for spelling out reference frames.
+void PushLe(std::vector<std::uint8_t>& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) out.push_back((v >> (8 * i)) & 0xFF);
+}
+
+TEST(ProtocolPayloadTest, QueryResponseMatchesFrameByFrameEncoding) {
+  WireQueryStats stats;
+  stats.plan_method = 0b0010;
+  stats.result_cache_hits = 1;
+  stats.elapsed_ms = 0.125;
+  for (const std::size_t n : {0u, 1u, 1024u, 1025u, 3000u}) {
+    std::vector<PointId> ids;
+    for (std::size_t i = 0; i < n; ++i) {
+      ids.push_back(static_cast<PointId>(i * 2654435761u));
+    }
+    stats.results = n;
+
+    // Reference 1: one AppendFrame per chunk payload.
+    std::vector<std::uint8_t> appended;
+    const std::span<const PointId> all(ids);
+    for (std::size_t at = 0; at < n; at += kIdsPerFrame) {
+      AppendFrame(appended, Opcode::kResultIds,
+                  EncodeResultIdsPayload(
+                      all.subspan(at, std::min(kIdsPerFrame, n - at))));
+    }
+    AppendFrame(appended, Opcode::kQueryDone, EncodeQueryStatsPayload(stats));
+
+    // Reference 2: the id frames spelled out byte by byte.
+    std::vector<std::uint8_t> spelled;
+    for (std::size_t at = 0; at < n; at += kIdsPerFrame) {
+      const std::size_t count = std::min(kIdsPerFrame, n - at);
+      spelled.insert(spelled.end(), {'V', 'Q', 'R', 'Y', kProtocolVersion,
+                                     static_cast<std::uint8_t>(
+                                         Opcode::kResultIds),
+                                     0, 0});
+      PushLe(spelled, 8 + 8 * count, 4);
+      PushLe(spelled, count, 4);
+      PushLe(spelled, 0, 4);
+      for (std::size_t i = at; i < at + count; ++i) PushLe(spelled, ids[i], 8);
+    }
+    AppendFrame(spelled, Opcode::kQueryDone, EncodeQueryStatsPayload(stats));
+
+    const std::vector<std::uint8_t> response = EncodeQueryResponse(ids, stats);
+    EXPECT_EQ(response, appended) << n << " ids";
+    EXPECT_EQ(response, spelled) << n << " ids";
+    const std::size_t frames = (n + kIdsPerFrame - 1) / kIdsPerFrame;
+    EXPECT_EQ(response.size(),
+              frames * (kFrameHeaderBytes + 8) + 8 * n + kFrameHeaderBytes +
+                  EncodeQueryStatsPayload(stats).size());
+  }
 }
 
 TEST(ProtocolPayloadTest, StatsAndErrorAndMutationPayloadsRoundTrip) {
