@@ -11,6 +11,8 @@
 
 namespace vaq {
 
+class PointDatabase;
+
 /// Interface of an area-query implementation: given a simple query polygon
 /// `area`, return the ids of every database point contained in it.
 ///
@@ -67,6 +69,31 @@ class AreaQuery {
 
   /// Implementation name for benchmark tables.
   virtual std::string_view Name() const = 0;
+};
+
+/// One of the four fixed methods over one immutable `PointDatabase`
+/// (traditional, voronoi, grid-sweep, brute force). Each implements only
+/// its unordered core; `Run` is that core plus one `SortIds`, so direct
+/// callers still get ascending ids. Composite queries (the dynamic and
+/// sharded paths) call the core instead and order the answer once, in
+/// the id space their own caller sees (DESIGN.md §15).
+class MethodAreaQuery : public AreaQuery {
+ public:
+  /// The method's core: resets and fills `ctx.stats` exactly like `Run`
+  /// and returns the hits as ids of the database, in no particular order.
+  virtual std::vector<PointId> RunUnordered(const Polygon& area,
+                                            QueryContext& ctx) const = 0;
+
+  using AreaQuery::Run;
+  /// `RunUnordered` plus `SortIds`; `ctx.stats.elapsed_ms` covers both.
+  std::vector<PointId> Run(const Polygon& area,
+                           QueryContext& ctx) const final;
+
+ protected:
+  /// `db` must outlive this object.
+  explicit MethodAreaQuery(const PointDatabase* db) : db_(db) {}
+
+  const PointDatabase* db_;
 };
 
 }  // namespace vaq

@@ -4,8 +4,8 @@
 
 namespace vaq {
 
-std::vector<PointId> BruteForceAreaQuery::Run(const Polygon& area,
-                                              QueryContext& ctx) const {
+std::vector<PointId> BruteForceAreaQuery::RunUnordered(
+    const Polygon& area, QueryContext& ctx) const {
   QueryStats* stats = &ctx.stats;
   stats->Reset();
   const auto t0 = std::chrono::steady_clock::now();
@@ -32,7 +32,7 @@ std::vector<PointId> BruteForceAreaQuery::Run(const Polygon& area,
   stats->elapsed_ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
-  return result;  // Already sorted: ids scanned in ascending order.
+  return result;
 }
 
 }  // namespace vaq

@@ -8,18 +8,15 @@ namespace vaq {
 
 /// Index-free linear scan: validates every point in the database. Ground
 /// truth for correctness tests and the "no index" row of ablations.
-class BruteForceAreaQuery : public AreaQuery {
+class BruteForceAreaQuery : public MethodAreaQuery {
  public:
   /// `db` must outlive this object.
-  explicit BruteForceAreaQuery(const PointDatabase* db) : db_(db) {}
+  explicit BruteForceAreaQuery(const PointDatabase* db)
+      : MethodAreaQuery(db) {}
 
-  using AreaQuery::Run;
-  std::vector<PointId> Run(const Polygon& area,
-                           QueryContext& ctx) const override;
+  std::vector<PointId> RunUnordered(const Polygon& area,
+                                    QueryContext& ctx) const override;
   std::string_view Name() const override { return "brute-force"; }
-
- private:
-  const PointDatabase* db_;
 };
 
 }  // namespace vaq

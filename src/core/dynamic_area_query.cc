@@ -1,5 +1,6 @@
 #include "core/dynamic_area_query.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -9,29 +10,25 @@
 
 namespace vaq {
 
-std::vector<PointId> RunDynamicSnapshotQuery(
+namespace {
+
+/// The base method's unordered core plus the delta-refine pass, with
+/// `ctx.stats` filled for both. Returns the base hits as base-internal
+/// ids in no particular order, tombstoned ones included; the delta hits,
+/// already stable ids, land in `delta_hits`.
+std::vector<PointId> BaseAndDeltaHits(
     const DynamicPointDatabase::Snapshot& snap, DynamicMethod method,
-    const Polygon& area, QueryContext& ctx) {
-  const auto t0 = std::chrono::steady_clock::now();
-
+    const Polygon& area, QueryContext& ctx,
+    std::vector<PointId>& delta_hits) {
   // Base pass: the wrapped implementation resets and fills ctx.stats.
-  std::vector<PointId> result = snap.BaseQuery(method).Run(area, ctx);
-
-  // Remap base-internal ids to stable ids, dropping tombstoned hits in
-  // place. A tombstoned hit stays a validated candidate (it was fetched
-  // and passed the geometry test) — it just is not a result.
-  std::size_t live = 0;
-  for (const PointId id : result) {
-    if (!snap.IsTombstoned(id)) result[live++] = snap.StableId(id);
-  }
-  result.resize(live);
+  std::vector<PointId> result =
+      snap.BaseQuery(method).RunUnordered(area, ctx);
 
   // Delta-refine pass: stream the snapshot's SoA delta buffer through the
   // blocked classification kernel. No object IO — the buffer is the
   // memtable — but the scans are candidates like any other.
   const std::size_t dn = snap.delta_size();
   if (dn > 0) {
-    std::vector<PointId>& delta_hits = ctx.ScratchDelta();
     if (method == DynamicMethod::kBruteForce) {
       // The brute-force wrapper stays PreparedArea-independent on the
       // delta too (see BruteForceAreaQuery): it is the ground truth the
@@ -72,16 +69,76 @@ std::vector<PointId> RunDynamicSnapshotQuery(
     ctx.stats.candidates += dn;
     ctx.stats.candidate_hits += delta_hits.size();
     ctx.stats.visited_rejected += dn - delta_hits.size();
-    result.insert(result.end(), delta_hits.begin(), delta_hits.end());
   }
+  return result;
+}
 
-  // The two contributions are individually sorted but interleave in the
-  // stable id space; one sort over the merged set restores the contract.
-  ctx.SortIds(result, snap.stable_limit());
-  ctx.stats.results = result.size();
-  ctx.stats.elapsed_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
+/// Turns `BaseAndDeltaHits`' output into the unordered answer, in place:
+/// drops tombstoned base hits, maps the rest to stable ids and appends the
+/// delta hits. A tombstoned hit stays a validated candidate (it was
+/// fetched and passed the geometry test) — it just is not a result.
+void ToLiveStableIds(const DynamicPointDatabase::Snapshot& snap,
+                     std::vector<PointId>& ids,
+                     const std::vector<PointId>& delta_hits) {
+  std::size_t live = 0;
+  for (const PointId id : ids) {
+    if (!snap.IsTombstoned(id)) ids[live++] = snap.StableId(id);
+  }
+  ids.resize(live);
+  ids.insert(ids.end(), delta_hits.begin(), delta_hits.end());
+}
+
+void Finish(std::size_t results, std::chrono::steady_clock::time_point t0,
+            QueryStats& stats) {
+  stats.results = results;
+  stats.elapsed_ms = std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+}
+
+}  // namespace
+
+std::vector<PointId> RunDynamicSnapshotQuery(
+    const DynamicPointDatabase::Snapshot& snap, DynamicMethod method,
+    const Polygon& area, QueryContext& ctx) {
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<PointId>& delta_hits = ctx.ScratchDelta();
+  std::vector<PointId> result =
+      BaseAndDeltaHits(snap, method, area, ctx, delta_hits);
+
+  // The one ordering pass, in the stable ids the caller sees. Bitmap:
+  // tombstone skip, stable-id remap and delta merge all write straight
+  // into the bitmap, which emits the answer ascending into the base hits'
+  // own storage. Comparison sort (small answers): remap in place, append
+  // the delta, sort once. `bound` counts tombstoned hits too; they are
+  // few, and the rule only has to pick the cheaper side.
+  const PointId limit = snap.stable_limit();
+  const std::size_t bound = result.size() + delta_hits.size();
+  if (QueryContext::UseBitmapOrder(bound, limit)) {
+    const QueryContext::OrderBitmap order = ctx.BeginOrder(limit);
+    for (const PointId id : result) {
+      if (!snap.IsTombstoned(id)) order.Mark(snap.StableId(id));
+    }
+    for (const PointId id : delta_hits) order.Mark(id);
+    result.resize(bound);
+    result.resize(ctx.EmitOrdered(result.data()));
+  } else {
+    ToLiveStableIds(snap, result, delta_hits);
+    std::sort(result.begin(), result.end());
+  }
+  Finish(result.size(), t0, ctx.stats);
+  return result;
+}
+
+std::vector<PointId> RunDynamicSnapshotQueryUnordered(
+    const DynamicPointDatabase::Snapshot& snap, DynamicMethod method,
+    const Polygon& area, QueryContext& ctx) {
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<PointId>& delta_hits = ctx.ScratchDelta();
+  std::vector<PointId> result =
+      BaseAndDeltaHits(snap, method, area, ctx, delta_hits);
+  ToLiveStableIds(snap, result, delta_hits);
+  Finish(result.size(), t0, ctx.stats);
   return result;
 }
 

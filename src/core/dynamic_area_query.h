@@ -6,15 +6,26 @@
 
 namespace vaq {
 
-/// Runs one area query against an already-pinned snapshot: base pass with
-/// the selected method, tombstone filter, stable-id remap, delta-refine
-/// pass, merge and sort. This is the body of `DynamicAreaQuery::Run` minus
-/// the pin, exposed so callers that must hold several snapshots consistent
-/// with each other — the sharded scatter-gather layer pins one version of
-/// every shard up front — can execute against the exact version they
-/// pinned instead of whatever is current when the sub-query runs.
-/// `ctx.stats` is reset and filled like any `AreaQuery::Run`.
+/// Runs one area query against an already-pinned snapshot: the selected
+/// method's unordered core over the base, the delta-refine pass, then one
+/// fused ordering pass that skips tombstoned hits, maps the rest to
+/// stable ids, merges the delta hits and emits the answer ascending (the
+/// base hits are never sorted in base-internal ids; DESIGN.md §15). This
+/// is the body of `DynamicAreaQuery::Run` minus the pin, exposed so
+/// callers that must hold several snapshots consistent with each other —
+/// the planner keys its result cache on the pinned version — can execute
+/// against the exact version they pinned instead of whatever is current
+/// when the query runs. `ctx.stats` is reset and filled like any
+/// `AreaQuery::Run`.
 std::vector<PointId> RunDynamicSnapshotQuery(
+    const DynamicPointDatabase::Snapshot& snap, DynamicMethod method,
+    const Polygon& area, QueryContext& ctx);
+
+/// `RunDynamicSnapshotQuery` without the ordering: the same live stable
+/// ids and `ctx.stats`, in no particular order. For callers that order a
+/// larger answer once themselves — a sharded leg, whose ids the gather
+/// maps to global ids and sorts together with every other leg's.
+std::vector<PointId> RunDynamicSnapshotQueryUnordered(
     const DynamicPointDatabase::Snapshot& snap, DynamicMethod method,
     const Polygon& area, QueryContext& ctx);
 

@@ -144,7 +144,7 @@ class DynamicPointDatabase {
     const PointDatabase& base() const { return bundle_->db; }
 
     /// The base-side query object for `m`, bound to `base()`.
-    const AreaQuery& BaseQuery(DynamicMethod m) const {
+    const MethodAreaQuery& BaseQuery(DynamicMethod m) const {
       switch (m) {
         case DynamicMethod::kVoronoi:
           return bundle_->voronoi;

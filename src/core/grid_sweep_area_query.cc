@@ -11,7 +11,7 @@ namespace vaq {
 
 GridSweepAreaQuery::GridSweepAreaQuery(const PointDatabase* db,
                                        int target_bucket_size)
-    : db_(db) {
+    : MethodAreaQuery(db) {
   world_ = db->bounds();
   if (world_.Empty()) world_ = Box{{0, 0}, {1, 1}};
   const double n = static_cast<double>(std::max<std::size_t>(db->size(), 1));
@@ -38,8 +38,8 @@ Box GridSweepAreaQuery::CellBox(int cx, int cy) const {
               world_.min.y + (cy + 1) * cell_h_}};
 }
 
-std::vector<PointId> GridSweepAreaQuery::Run(const Polygon& area,
-                                             QueryContext& ctx) const {
+std::vector<PointId> GridSweepAreaQuery::RunUnordered(
+    const Polygon& area, QueryContext& ctx) const {
   QueryStats* stats = &ctx.stats;
   stats->Reset();
   const auto t0 = std::chrono::steady_clock::now();
@@ -116,7 +116,6 @@ std::vector<PointId> GridSweepAreaQuery::Run(const Polygon& area,
       }
     }
   }
-  ctx.SortIds(result, db_->size());
 
   stats->results = result.size();
   stats->visited_rejected = stats->candidates - stats->candidate_hits;

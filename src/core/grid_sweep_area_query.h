@@ -20,16 +20,15 @@ namespace vaq {
 /// pays cell-classification geometry (polygon-vs-box tests) instead of
 /// graph traversal, and it needs its own raster structure. Included as a
 /// strong extra baseline in the ablation benches.
-class GridSweepAreaQuery : public AreaQuery {
+class GridSweepAreaQuery : public MethodAreaQuery {
  public:
   /// Builds the raster over `db`'s points with ~`target_bucket_size`
   /// points per cell. `db` must outlive this object.
   explicit GridSweepAreaQuery(const PointDatabase* db,
                               int target_bucket_size = 8);
 
-  using AreaQuery::Run;
-  std::vector<PointId> Run(const Polygon& area,
-                           QueryContext& ctx) const override;
+  std::vector<PointId> RunUnordered(const Polygon& area,
+                                    QueryContext& ctx) const override;
   std::string_view Name() const override { return "grid-sweep"; }
 
   int grid_side() const { return side_; }
@@ -37,7 +36,6 @@ class GridSweepAreaQuery : public AreaQuery {
  private:
   Box CellBox(int cx, int cy) const;
 
-  const PointDatabase* db_;
   std::vector<std::vector<PointId>> cells_;
   Box world_;
   int side_ = 1;

@@ -196,30 +196,67 @@ class QueryContext {
     return kernel_;
   }
 
-  /// Sorts `ids` ascending, where every id is < `universe` and ids are
-  /// distinct. Dense result sets use a reusable bitmap (O(universe/64 + k)
-  /// word operations) instead of comparison sorting (O(k log k)) — on the
-  /// large-polygon rows the result sort was a visible slice of query time.
-  void SortIds(std::vector<PointId>& ids, std::size_t universe) {
-    const std::size_t words = (universe + 63) / 64;
-    if (ids.size() < 4096 || ids.size() * 24 < universe) {
-      std::sort(ids.begin(), ids.end());
-      return;
+  // -- Ordering ------------------------------------------------------------
+  //
+  // k distinct ids below a universe U are put in ascending order either by
+  // a comparison sort, O(k log k), or through a bitmap over [0, U): clear
+  // U/64 words, set k bits, scan the words, O(U/64 + k). Every answer is
+  // ordered exactly once, in the id space its caller sees (DESIGN.md §15).
+
+  /// The one crossover rule between the two, shared by `SortIds` and the
+  /// dynamic path's fused remap pass: the bitmap once k >= U/512. On random
+  /// ids the two cost the same near k = U/512 for U from 10^5 to 10^6;
+  /// below it the sort wins, and at 2-4x the threshold the bitmap is 2-4x
+  /// cheaper (measurements in DESIGN.md §15).
+  static bool UseBitmapOrder(std::size_t ids, std::size_t universe) {
+    return ids * 512 >= universe;
+  }
+
+  /// Register-resident view of the ordering bitmap, like `VisitMarker`.
+  struct OrderBitmap {
+    std::uint64_t* words;
+    void Mark(PointId id) const {
+      words[id >> 6] |= std::uint64_t{1} << (id & 63);
     }
-    if (sort_bitmap_.size() < words) sort_bitmap_.resize(words);
-    std::fill(sort_bitmap_.begin(), sort_bitmap_.begin() + words, 0u);
-    for (const PointId id : ids) {
-      sort_bitmap_[id >> 6] |= std::uint64_t{1} << (id & 63);
+  };
+
+  /// Starts a bitmap ordering over ids [0, `universe`): clears the
+  /// context's reusable bitmap and returns it for marking.
+  OrderBitmap BeginOrder(std::size_t universe) {
+    order_words_ = (universe + 63) / 64;
+    if (order_bitmap_.size() < order_words_) {
+      order_bitmap_.resize(order_words_);
     }
+    std::fill(order_bitmap_.begin(), order_bitmap_.begin() + order_words_,
+              0u);
+    return OrderBitmap{order_bitmap_.data()};
+  }
+
+  /// Writes the ids marked since `BeginOrder` to `out`, ascending, and
+  /// returns how many there were. `out` must have room for all of them.
+  std::size_t EmitOrdered(PointId* out) const {
     std::size_t at = 0;
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t bits = sort_bitmap_[w];
+    for (std::size_t w = 0; w < order_words_; ++w) {
+      std::uint64_t bits = order_bitmap_[w];
       while (bits != 0) {
         const int bit = std::countr_zero(bits);
         bits &= bits - 1;
-        ids[at++] = static_cast<PointId>((w << 6) + bit);
+        out[at++] = static_cast<PointId>((w << 6) + bit);
       }
     }
+    return at;
+  }
+
+  /// Sorts `ids` ascending, where every id is < `universe` and ids are
+  /// distinct.
+  void SortIds(std::vector<PointId>& ids, std::size_t universe) {
+    if (!UseBitmapOrder(ids.size(), universe)) {
+      std::sort(ids.begin(), ids.end());
+      return;
+    }
+    const OrderBitmap order = BeginOrder(universe);
+    for (const PointId id : ids) order.Mark(id);
+    EmitOrdered(ids.data());
   }
 
  private:
@@ -240,7 +277,8 @@ class QueryContext {
   /// (invalidated whenever `prepared_` is rebuilt).
   PolygonKernel kernel_;
   bool kernel_ready_ = false;
-  std::vector<std::uint64_t> sort_bitmap_;
+  std::vector<std::uint64_t> order_bitmap_;
+  std::size_t order_words_ = 0;
 };
 
 }  // namespace vaq

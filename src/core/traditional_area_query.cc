@@ -8,8 +8,8 @@
 
 namespace vaq {
 
-std::vector<PointId> TraditionalAreaQuery::Run(const Polygon& area,
-                                               QueryContext& ctx) const {
+std::vector<PointId> TraditionalAreaQuery::RunUnordered(
+    const Polygon& area, QueryContext& ctx) const {
   QueryStats* stats = &ctx.stats;
   stats->Reset();
   const auto t0 = std::chrono::steady_clock::now();
@@ -61,7 +61,6 @@ std::vector<PointId> TraditionalAreaQuery::Run(const Polygon& area,
         });
     stats->candidates = candidates.size();
   }
-  ctx.SortIds(result, db_->size());
 
   stats->results = result.size();
   stats->candidate_hits = stats->results;

@@ -16,7 +16,7 @@ namespace vaq {
 /// only points landing in boundary cells pay an exact — but locally
 /// pruned — edge test. Results are identical to naive per-candidate
 /// `Polygon::Contains` validation, at a fraction of the cost.
-class TraditionalAreaQuery : public AreaQuery {
+class TraditionalAreaQuery : public MethodAreaQuery {
  public:
   /// How the index filter step works.
   enum class Filter {
@@ -39,18 +39,16 @@ class TraditionalAreaQuery : public AreaQuery {
   explicit TraditionalAreaQuery(const PointDatabase* db)
       : TraditionalAreaQuery(db, Options{}) {}
   TraditionalAreaQuery(const PointDatabase* db, Options options)
-      : db_(db), options_(options) {}
+      : MethodAreaQuery(db), options_(options) {}
 
-  using AreaQuery::Run;
-  std::vector<PointId> Run(const Polygon& area,
-                           QueryContext& ctx) const override;
+  std::vector<PointId> RunUnordered(const Polygon& area,
+                                    QueryContext& ctx) const override;
   std::string_view Name() const override {
     return options_.filter == Filter::kWindowMBR ? "traditional"
                                                  : "traditional-polyfilter";
   }
 
  private:
-  const PointDatabase* db_;
   Options options_;
 };
 

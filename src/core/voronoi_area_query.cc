@@ -11,7 +11,7 @@
 namespace vaq {
 
 VoronoiAreaQuery::VoronoiAreaQuery(const PointDatabase* db, Options options)
-    : db_(db), options_(options) {
+    : MethodAreaQuery(db), options_(options) {
   if (options_.expansion == ExpansionRule::kCellOverlap) {
     db_->voronoi();  // Force construction up front, outside timed queries.
   }
@@ -48,8 +48,8 @@ bool VoronoiAreaQuery::CellIntersectsArea(PointId v,
   return false;
 }
 
-std::vector<PointId> VoronoiAreaQuery::Run(const Polygon& area,
-                                           QueryContext& ctx) const {
+std::vector<PointId> VoronoiAreaQuery::RunUnordered(
+    const Polygon& area, QueryContext& ctx) const {
   QueryStats* stats = &ctx.stats;
   stats->Reset();
   const auto t0 = std::chrono::steady_clock::now();
@@ -63,7 +63,6 @@ std::vector<PointId> VoronoiAreaQuery::Run(const Polygon& area,
   // failed validation — the flood's boundary shell — are reported
   // distinctly (candidates == candidate_hits + visited_rejected).
   const auto finish = [&]() -> std::vector<PointId> {
-    ctx.SortIds(result, db_->size());
     stats->results = result.size();
     stats->candidate_hits = stats->results;
     stats->visited_rejected = stats->candidates - stats->candidate_hits;

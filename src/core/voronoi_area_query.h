@@ -21,7 +21,7 @@ namespace vaq {
 /// Candidates are therefore the internal points plus a thin shell of
 /// boundary points — proportional to the boundary length of A rather than
 /// to area(MBR(A)) - area(A).
-class VoronoiAreaQuery : public AreaQuery {
+class VoronoiAreaQuery : public MethodAreaQuery {
  public:
   /// How the flood expands out of a candidate that is *outside* A.
   enum class ExpansionRule {
@@ -52,9 +52,8 @@ class VoronoiAreaQuery : public AreaQuery {
       : VoronoiAreaQuery(db, Options{}) {}
   VoronoiAreaQuery(const PointDatabase* db, Options options);
 
-  using AreaQuery::Run;
-  std::vector<PointId> Run(const Polygon& area,
-                           QueryContext& ctx) const override;
+  std::vector<PointId> RunUnordered(const Polygon& area,
+                                    QueryContext& ctx) const override;
   std::string_view Name() const override {
     return options_.expansion == ExpansionRule::kPaperSegment
                ? "voronoi"
@@ -67,7 +66,6 @@ class VoronoiAreaQuery : public AreaQuery {
   // Stateless beyond construction-time configuration: the epoch-marked
   // visited set and candidate queue live in the caller's `QueryContext`,
   // so one instance can serve concurrent queries.
-  const PointDatabase* db_;
   Options options_;
 };
 

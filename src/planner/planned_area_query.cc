@@ -227,7 +227,7 @@ std::vector<PointId> PlannedAreaQuery::RunPlanned(
   // Degraded-partial answers (failed shard legs under `allow_partial`)
   // must not be cached: a later hit would replay the subset as the truth.
   if (caching && ctx.stats.degraded == 0) {
-    cache_.Insert(key, std::make_shared<const std::vector<PointId>>(ids));
+    cache_.Insert(key, ids);
   }
   return ids;
 }

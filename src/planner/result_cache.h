@@ -6,6 +6,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -65,12 +66,13 @@ class ResultCache {
   std::shared_ptr<const std::vector<PointId>> Lookup(const Key& key,
                                                      bool count_miss = true);
 
-  /// Offers `ids` for caching under `key`. Admitted — stored, evicting
-  /// the least recently used entry beyond capacity — only when the
-  /// polygon hash was offered before (second-hit admission, above) or the
-  /// key is already resident (refresh). A declined offer records the hash
-  /// and drops the ids. A capacity of 0 disables the cache entirely.
-  void Insert(const Key& key, std::shared_ptr<const std::vector<PointId>> ids);
+  /// Offers `ids` for caching under `key`. Admitted — copied and stored,
+  /// evicting the least recently used entry beyond capacity — only when
+  /// the polygon hash was offered before (second-hit admission, above) or
+  /// the key is already resident (refresh). A declined offer records the
+  /// hash and copies nothing, so a miss on a one-shot polygon allocates
+  /// no answer copy. A capacity of 0 disables the cache entirely.
+  void Insert(const Key& key, std::span<const PointId> ids);
 
   /// Cumulative counters (monotonic; for stats plumbing and tests).
   std::uint64_t hits() const;

@@ -15,10 +15,12 @@ namespace vaq {
 namespace {
 
 /// One scatter leg: the selected method against one pinned shard view,
-/// hits remapped to global stable ids. Internal to the scatter-gather —
-/// it deliberately skips the per-leg sort (`AreaQuery` contract), because
-/// global ids interleave across shards anyway and the gather runs one
-/// sort over the merged set.
+/// hits remapped to global stable ids, in no particular order. Internal
+/// to the scatter-gather — it deliberately breaks the ascending `Run`
+/// contract of `AreaQuery`: global ids interleave across shards anyway,
+/// so the leg runs the unordered dynamic form (no sort in base-internal
+/// ids, none in shard stable ids) and the gather's one `SortIds` over the
+/// merged set is the only ordering a sharded answer gets.
 class ShardLegQuery final : public AreaQuery {
  public:
   ShardLegQuery(const ShardedDatabase::ShardView* view, DynamicMethod method)
@@ -27,7 +29,7 @@ class ShardLegQuery final : public AreaQuery {
   std::vector<PointId> Run(const Polygon& area,
                            QueryContext& ctx) const override {
     std::vector<PointId> ids =
-        RunDynamicSnapshotQuery(*view_->snap, method_, area, ctx);
+        RunDynamicSnapshotQueryUnordered(*view_->snap, method_, area, ctx);
     for (PointId& id : ids) id = view_->ids->Global(id);
     return ids;
   }
@@ -178,8 +180,8 @@ std::vector<PointId> RunShardedSnapshotQuery(
     std::rethrow_exception(first_error);
   }
 
-  // Per-shard results are disjoint global-id sets; one sort restores the
-  // ascending contract over the merged list.
+  // Per-shard results are disjoint, unordered global-id sets; this is the
+  // only sort of a sharded answer.
   ctx.SortIds(result, snap.stable_limit());
   merged.shards_hit = survivors.size() - failed;
   merged.shards_pruned = pruned;

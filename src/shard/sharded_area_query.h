@@ -59,16 +59,19 @@ std::vector<PointId> RunShardedSnapshotQuery(
 ///     conservative (exact after compaction, grown by inserts), so a
 ///     prune is always sound.
 ///  3. **Scatter** the surviving shards: each runs the selected method
-///     (`RunDynamicSnapshotQuery`) against its pinned shard snapshot and
-///     remaps its hits to global stable ids. With a scatter engine the
-///     legs run as `QueryEngine::SubmitWith` jobs in parallel — under the
-///     blocking IO model the shards overlap their object fetches, which
-///     is where the sharded layout's throughput comes from; without one
-///     they run sequentially on the caller's context.
-///  4. **Gather**: concatenate the per-shard hits (global id ranges
-///     interleave, so one final `SortIds` restores the sorted contract)
-///     and merge the per-shard `QueryStats` by summation, which preserves
-///     the `candidates == candidate_hits + visited_rejected` invariant.
+///     (`RunDynamicSnapshotQueryUnordered`) against its pinned shard
+///     snapshot and remaps its hits to global stable ids, unordered. With
+///     a scatter engine the legs run as `QueryEngine::SubmitWith` jobs in
+///     parallel — under the blocking IO model the shards overlap their
+///     object fetches, which is where the sharded layout's throughput
+///     comes from; without one they run sequentially on the caller's
+///     context.
+///  4. **Gather**: concatenate the per-shard hits and order them with one
+///     `SortIds` over global ids, the only sort of a sharded answer
+///     (global id ranges interleave across shards, so a per-leg sort
+///     would be wasted; DESIGN.md §15). Merge the per-shard `QueryStats`
+///     by summation, which preserves the
+///     `candidates == candidate_hits + visited_rejected` invariant.
 ///     `stats.shards_hit`/`shards_pruned` record the scatter fan-out
 ///     (they always sum to the shard count); `elapsed_ms` is the
 ///     end-to-end wall time of the whole scatter-gather, not the sum of

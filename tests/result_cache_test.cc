@@ -11,9 +11,8 @@
 namespace vaq {
 namespace {
 
-std::shared_ptr<const std::vector<PointId>> Ids(
-    std::initializer_list<PointId> ids) {
-  return std::make_shared<const std::vector<PointId>>(ids);
+std::vector<PointId> Ids(std::initializer_list<PointId> ids) {
+  return std::vector<PointId>(ids);
 }
 
 Polygon Square(double x0, double y0, double side) {
@@ -24,9 +23,9 @@ Polygon Square(double x0, double y0, double side) {
 /// Stores an entry past second-hit admission: the first offer of a hash
 /// is declined by design, the second is admitted.
 void Admit(ResultCache& cache, const ResultCache::Key& key,
-           std::shared_ptr<const std::vector<PointId>> ids) {
+           const std::vector<PointId>& ids) {
   cache.Insert(key, ids);
-  cache.Insert(key, std::move(ids));
+  cache.Insert(key, ids);
 }
 
 TEST(HashPolygonBitsTest, StableAndSensitiveToEveryBit) {
