@@ -6,9 +6,9 @@
 #include <thread>
 #include <vector>
 
-#include "core/dynamic_area_query.h"
 #include "core/dynamic_point_database.h"
 #include "engine/query_engine.h"
+#include "planner/planned_area_query.h"
 #include "workload/point_generator.h"
 #include "workload/polygon_generator.h"
 #include "workload/rng.h"
@@ -27,16 +27,20 @@ int main() {
   DynamicPointDatabase db(GenerateUniformPoints(20000, domain, &rng),
                           options);
 
-  const DynamicAreaQuery voronoi(&db, DynamicMethod::kVoronoi);
-  const DynamicAreaQuery brute(&db, DynamicMethod::kBruteForce);
+  // `Query` plans each call; `force_method` pins the method instead.
+  // Caching is off so every call below runs its method for real.
+  const PlanHints voronoi{.force_method = DynamicMethod::kVoronoi,
+                          .use_cache = false};
+  const PlanHints brute{.force_method = DynamicMethod::kBruteForce,
+                        .use_cache = false};
+  QueryContext ctx;
 
   PolygonSpec spec;
   spec.query_size_fraction = 0.05;
   const Polygon area = GenerateQueryPolygon(spec, domain, &rng);
 
-  QueryStats stats;
   std::printf("initially: %zu results in the area\n",
-              voronoi.Run(area, &stats).size());
+              db.Query(area, ctx, voronoi).size());
 
   // Mutate: 6000 inserts, 2000 deletes. Each insert returns a stable id
   // that survives compaction; duplicates would be rejected (nullopt).
@@ -53,13 +57,13 @@ int main() {
               db.Size(), db.DeltaSize(),
               static_cast<unsigned long long>(db.Compactions()));
 
-  const std::vector<PointId> now = voronoi.Run(area, &stats);
+  const std::vector<PointId> now = db.Query(area, ctx, voronoi);
   std::printf("now: %zu results, %llu of %llu candidates from the delta "
               "buffer\n",
               now.size(),
-              static_cast<unsigned long long>(stats.delta_candidates),
-              static_cast<unsigned long long>(stats.candidates));
-  if (voronoi.Run(area, &stats) != brute.Run(area, &stats)) {
+              static_cast<unsigned long long>(ctx.stats.delta_candidates),
+              static_cast<unsigned long long>(ctx.stats.candidates));
+  if (now != db.Query(area, ctx, brute)) {
     std::printf("ERROR: methods disagree\n");
     return 1;
   }
@@ -67,9 +71,10 @@ int main() {
   // Snapshot consistency under concurrency: engine workers keep running
   // queries on the versions they pinned while a writer mutates. Explicit
   // Compact() mid-stream is safe too — in-flight queries finish on the
-  // old base.
+  // old base. The engine runs the same planned query `Query` uses; the
+  // hints ride along with each submission.
   QueryEngine engine({.num_threads = 2});
-  const int method = engine.RegisterMethod(&voronoi);
+  const int method = engine.RegisterMethod(db.PlannedQuery());
   const std::uint64_t writer_seed = rng.Next();
   std::thread writer([&db, writer_seed] {
     Rng wrng(writer_seed);
@@ -78,8 +83,12 @@ int main() {
       if (i % 512 == 0) db.Compact();
     }
   });
+  SubmitOptions opts;
+  opts.hints = voronoi;
   std::vector<std::future<QueryResult>> futures;
-  for (int i = 0; i < 200; ++i) futures.push_back(engine.Submit(area, method));
+  for (int i = 0; i < 200; ++i) {
+    futures.push_back(engine.Submit(area, method, opts));
+  }
   std::size_t total = 0;
   for (auto& f : futures) total += f.get().ids.size();
   writer.join();

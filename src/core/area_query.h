@@ -30,7 +30,11 @@ class PointDatabase;
 ///                             seeded by one R-tree nearest-neighbour
 ///                             lookup, in both expansion-rule modes;
 ///  * `GridSweepAreaQuery`   — raster filter baseline;
-///  * `BruteForceAreaQuery`  — linear scan, ground truth for tests.
+///  * `BruteForceAreaQuery`  — linear scan, ground truth for tests;
+///  * `PlannedAreaQuery`     — the served entry point: pins a snapshot of
+///                             any backend (immutable, dynamic, sharded)
+///                             and runs the method its cost model picks,
+///                             or the one `PlanHints::force_method` names.
 ///
 /// Both index-backed methods always read the database's own Hilbert-packed
 /// `RTree`; no other index can be injected.

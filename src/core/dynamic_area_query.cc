@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 
 #include "core/batch_refine.h"
 #include "geometry/prepared_area.h"
@@ -140,15 +139,6 @@ std::vector<PointId> RunDynamicSnapshotQueryUnordered(
   ToLiveStableIds(snap, result, delta_hits);
   Finish(result.size(), t0, ctx.stats);
   return result;
-}
-
-std::vector<PointId> DynamicAreaQuery::Run(const Polygon& area,
-                                           QueryContext& ctx) const {
-  // Pin the version: the execution reads this snapshot only, so the query
-  // is immune to concurrent mutations and compactions.
-  const std::shared_ptr<const DynamicPointDatabase::Snapshot> snap =
-      db_->snapshot();
-  return RunDynamicSnapshotQuery(*snap, method_, area, ctx);
 }
 
 }  // namespace vaq

@@ -6,17 +6,31 @@
 
 namespace vaq {
 
-/// Runs one area query against an already-pinned snapshot: the selected
-/// method's unordered core over the base, the delta-refine pass, then one
+/// Runs one area query over a `DynamicPointDatabase` against an
+/// already-pinned snapshot (`DynamicPointDatabase::snapshot()`): the
+/// selected method's unordered core over the immutable base, a
+/// delta-refine pass — the snapshot's SoA delta buffer streamed through
+/// the same blocked classification kernel the base methods use — and one
 /// fused ordering pass that skips tombstoned hits, maps the rest to
 /// stable ids, merges the delta hits and emits the answer ascending (the
-/// base hits are never sorted in base-internal ids; DESIGN.md §15). This
-/// is the body of `DynamicAreaQuery::Run` minus the pin, exposed so
-/// callers that must hold several snapshots consistent with each other —
-/// the planner keys its result cache on the pinned version — can execute
-/// against the exact version they pinned instead of whatever is current
-/// when the query runs. `ctx.stats` is reset and filled like any
-/// `AreaQuery::Run`.
+/// base hits are never sorted in base-internal ids; DESIGN.md §15).
+/// Results are stable ids (see `DynamicPointDatabase`).
+///
+/// The pin is the caller's: the execution reads that snapshot only, so it
+/// is immune to concurrent `Insert`/`Erase`/`Compact`, and callers that
+/// derive other state from the snapshot — the planner keys its result
+/// cache on the pinned version — execute against the exact version they
+/// pinned. Whole-database callers go through `DynamicPointDatabase::Query`
+/// (`PlanHints::force_method` fixes the method). Per-execution scratch
+/// lives in `ctx` (the delta pass uses `ScratchDelta`).
+///
+/// Stats: `ctx.stats` is reset and filled with the base execution's
+/// counters plus the delta pass — delta scans count as `candidates` (and
+/// `delta_candidates`) and keep the
+/// `candidates == candidate_hits + visited_rejected` invariant, but
+/// charge no `geometry_loads` (the delta buffer is memory-resident by
+/// design). `candidate_hits` counts geometric hits; `results` can be
+/// smaller when tombstones exclude validated base hits.
 std::vector<PointId> RunDynamicSnapshotQuery(
     const DynamicPointDatabase::Snapshot& snap, DynamicMethod method,
     const Polygon& area, QueryContext& ctx);
@@ -28,54 +42,6 @@ std::vector<PointId> RunDynamicSnapshotQuery(
 std::vector<PointId> RunDynamicSnapshotQueryUnordered(
     const DynamicPointDatabase::Snapshot& snap, DynamicMethod method,
     const Polygon& area, QueryContext& ctx);
-
-/// Area query over a `DynamicPointDatabase`: pins the current snapshot,
-/// runs the selected base implementation (voronoi / traditional /
-/// grid-sweep / brute-force) over the immutable base, then merges a
-/// delta-refine pass — the snapshot's SoA delta buffer streamed through
-/// the same blocked classification kernel the base methods use — and
-/// filters tombstoned base hits. Results are stable ids (see
-/// `DynamicPointDatabase`), sorted ascending.
-///
-/// Stateless like every `AreaQuery`: per-execution scratch lives in the
-/// caller's `QueryContext` (the delta pass uses `ScratchDelta`), and the
-/// snapshot pin makes `Run` safe against concurrent `Insert`/`Erase`/
-/// `Compact` — register instances with a `QueryEngine` and mutate away.
-///
-/// Stats: `ctx.stats` is the base execution's counters plus the delta
-/// pass — delta scans count as `candidates` (and `delta_candidates`) and
-/// keep the `candidates == candidate_hits + visited_rejected` invariant,
-/// but charge no `geometry_loads` (the delta buffer is memory-resident by
-/// design). `candidate_hits` counts geometric hits; `results` can be
-/// smaller when tombstones exclude validated base hits.
-class DynamicAreaQuery : public AreaQuery {
- public:
-  /// `db` must outlive this object.
-  DynamicAreaQuery(const DynamicPointDatabase* db, DynamicMethod method)
-      : db_(db), method_(method) {}
-
-  using AreaQuery::Run;
-  std::vector<PointId> Run(const Polygon& area,
-                           QueryContext& ctx) const override;
-
-  std::string_view Name() const override {
-    switch (method_) {
-      case DynamicMethod::kVoronoi:
-        return "dyn-voronoi";
-      case DynamicMethod::kTraditional:
-        return "dyn-traditional";
-      case DynamicMethod::kGridSweep:
-        return "dyn-grid-sweep";
-      case DynamicMethod::kBruteForce:
-        break;
-    }
-    return "dyn-brute-force";
-  }
-
- private:
-  const DynamicPointDatabase* db_;
-  DynamicMethod method_;
-};
 
 }  // namespace vaq
 

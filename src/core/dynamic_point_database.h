@@ -33,7 +33,7 @@ class PlannedAreaQuery;
 ///  * **deletes** of base points set a bit in a *tombstone* bitmap
 ///    (deletes of delta points just remove the buffer entry);
 ///  * queries answer over `base ∪ delta − tombstones` (see
-///    `DynamicAreaQuery`, which merges a delta-refine pass into the
+///    `RunDynamicSnapshotQuery`, which merges a delta-refine pass into the
 ///    batched kernels);
 ///  * once `delta + tombstones` crosses the threshold, `Compact()`
 ///    rebuilds the base from the merged live set — reusing the Hilbert

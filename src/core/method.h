@@ -7,9 +7,10 @@
 namespace vaq {
 
 /// The four area-query strategies the library implements. Used to select
-/// which base implementation a `DynamicAreaQuery` wraps, which method a
-/// sharded scatter-gather runs per leg, and — since the planner — which
-/// execution the cost model picked for an `auto` query.
+/// which base implementation a dynamic query runs
+/// (`RunDynamicSnapshotQuery`), which method a sharded scatter-gather runs
+/// per leg, which execution the cost model picked for an `auto` query, and
+/// which method `PlanHints::force_method` pins.
 ///
 /// Lives in its own header (not `dynamic_point_database.h`, its original
 /// home) because the planner layer needs the enum without pulling in the

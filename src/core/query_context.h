@@ -123,11 +123,11 @@ class QueryContext {
     return candidates_;
   }
 
-  /// Delta-scan scratch of the dynamic-database wrapper (see
-  /// `DynamicAreaQuery`): collects the stable ids of delta-buffer hits
-  /// before they are merged into the base result. A third buffer —
-  /// distinct from `ScratchQueue`/`ScratchCandidates` — because the
-  /// wrapped base query may still own those when the delta pass runs.
+  /// Delta-scan scratch of the dynamic-database path (see
+  /// `RunDynamicSnapshotQuery`): collects the stable ids of delta-buffer
+  /// hits before they are merged into the base result. A third buffer —
+  /// distinct from `ScratchQueue`/`ScratchCandidates` — because the base
+  /// method's query may still own those when the delta pass runs.
   std::vector<PointId>& ScratchDelta() {
     delta_hits_.clear();
     return delta_hits_;

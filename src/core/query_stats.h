@@ -45,7 +45,8 @@ struct QueryStats {
   /// log-structured store keeps resident, so scanning it costs no object
   /// IO. Always 0 for queries on an immutable `PointDatabase`.
   std::uint64_t delta_candidates = 0;
-  /// Scatter-gather accounting of a sharded query (see `ShardedAreaQuery`):
+  /// Scatter-gather accounting of a sharded query (see
+  /// `RunShardedSnapshotQuery`):
   /// shards whose sub-query actually ran vs. shards skipped because their
   /// MBR was classified outside the area (or they held no live points).
   /// `shards_hit + shards_pruned` equals the database's shard count.

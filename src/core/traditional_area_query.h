@@ -18,38 +18,13 @@ namespace vaq {
 /// `Polygon::Contains` validation, at a fraction of the cost.
 class TraditionalAreaQuery : public MethodAreaQuery {
  public:
-  /// How the index filter step works.
-  enum class Filter {
-    /// Paper-faithful: `WindowQuery(MBR(A))`, then refine every candidate.
-    /// `stats.candidates` is the MBR population, as in Tables I/II.
-    kWindowMBR,
-    /// Polygon-aware: `RTree::PolygonQuery` prunes subtrees outside
-    /// A and bulk-accepts subtrees inside A during the traversal, so the
-    /// filter output *is* the result set (candidates == results) and the
-    /// refine step disappears. `stats.bulk_accepted` counts points never
-    /// individually validated.
-    kPolygonIndex,
-  };
-
-  struct Options {
-    Filter filter = Filter::kWindowMBR;
-  };
-
   /// `db` must outlive this object; its R-tree is the filter index.
   explicit TraditionalAreaQuery(const PointDatabase* db)
-      : TraditionalAreaQuery(db, Options{}) {}
-  TraditionalAreaQuery(const PointDatabase* db, Options options)
-      : MethodAreaQuery(db), options_(options) {}
+      : MethodAreaQuery(db) {}
 
   std::vector<PointId> RunUnordered(const Polygon& area,
                                     QueryContext& ctx) const override;
-  std::string_view Name() const override {
-    return options_.filter == Filter::kWindowMBR ? "traditional"
-                                                 : "traditional-polyfilter";
-  }
-
- private:
-  Options options_;
+  std::string_view Name() const override { return "traditional"; }
 };
 
 }  // namespace vaq

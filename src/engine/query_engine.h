@@ -152,8 +152,9 @@ class QueryEngine {
                                   SubmitOptions opts = {});
 
   /// Enqueues one query against an ad-hoc query object that was never
-  /// registered — the scatter path of `ShardedAreaQuery`, whose per-shard
-  /// sub-queries are ephemeral objects bound to a pinned snapshot.
+  /// registered — the scatter path of `RunShardedSnapshotQuery`, whose
+  /// per-shard sub-queries are ephemeral objects bound to a pinned
+  /// snapshot.
   /// `query` must stay alive until the returned future resolves (the
   /// caller waits on it before destroying the object). Ad-hoc executions
   /// are internal fan-out legs of one client query: they are excluded
@@ -189,7 +190,7 @@ class QueryEngine {
   /// self-submission guard: a task that blocks on futures of its own
   /// pool can deadlock it (workers waiting on work only those same
   /// workers could pop), so composite queries check this and fall back
-  /// to inline execution (see `ShardedAreaQuery`).
+  /// to inline execution (see `RunShardedSnapshotQuery`).
   bool OnWorkerThread() const;
 
  private:

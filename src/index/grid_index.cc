@@ -6,8 +6,6 @@
 #include <limits>
 #include <queue>
 
-#include "geometry/prepared_area.h"
-
 namespace vaq {
 
 GridIndex::GridIndex(int target_bucket_size)
@@ -62,49 +60,6 @@ void GridIndex::WindowQuery(const Box& window, std::vector<PointId>* out,
           out->push_back(id);
           if (stats != nullptr) ++stats->entries_reported;
         }
-      }
-    }
-  }
-}
-
-void GridIndex::PolygonQuery(const PreparedArea& area,
-                             std::vector<PointId>* out,
-                             IndexStats* stats) const {
-  if (stats != nullptr) ++stats->node_accesses;  // The grid directory itself.
-  if (points_.empty() || !area.prepared()) return;
-  const Box& window = area.bounds();
-  if (!window.Intersects(world_)) return;
-  const int x0 = CellX(window.min.x);
-  const int x1 = CellX(window.max.x);
-  const int y0 = CellY(window.min.y);
-  const int y1 = CellY(window.max.y);
-  for (int cy = y0; cy <= y1; ++cy) {
-    for (int cx = x0; cx <= x1; ++cx) {
-      const std::vector<PointId>& bucket = Cell(cx, cy);
-      if (bucket.empty()) continue;
-      if (stats != nullptr) ++stats->node_accesses;
-      const Box cell_box{
-          {world_.min.x + cx * cell_w_, world_.min.y + cy * cell_h_},
-          {world_.min.x + (cx + 1) * cell_w_,
-           world_.min.y + (cy + 1) * cell_h_}};
-      switch (area.ClassifyBox(cell_box)) {
-        case PreparedArea::Region::kOutside:
-          break;
-        case PreparedArea::Region::kInside:
-          out->insert(out->end(), bucket.begin(), bucket.end());
-          if (stats != nullptr) {
-            stats->entries_reported += bucket.size();
-            stats->bulk_accepted += bucket.size();
-          }
-          break;
-        case PreparedArea::Region::kStraddling:
-          for (const PointId id : bucket) {
-            if (area.Contains(points_[id])) {
-              out->push_back(id);
-              if (stats != nullptr) ++stats->entries_reported;
-            }
-          }
-          break;
       }
     }
   }

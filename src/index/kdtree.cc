@@ -4,8 +4,6 @@
 #include <cassert>
 #include <queue>
 
-#include "geometry/prepared_area.h"
-
 namespace vaq {
 
 KDTree::KDTree(int leaf_size) : leaf_size_(leaf_size) {
@@ -67,45 +65,6 @@ void KDTree::WindowQuery(const Box& window, std::vector<PointId>* out,
       const bool all_inside = window.Contains(node.bounds);
       for (std::uint32_t i = node.begin; i < node.end; ++i) {
         if (all_inside || window.Contains(points_[ids_[i]])) {
-          out->push_back(ids_[i]);
-          if (stats != nullptr) ++stats->entries_reported;
-        }
-      }
-    } else {
-      stack.push_back(node.left);
-      stack.push_back(node.right);
-    }
-  }
-}
-
-void KDTree::PolygonQuery(const PreparedArea& area, std::vector<PointId>* out,
-                          IndexStats* stats) const {
-  if (root_ < 0 || !area.prepared()) return;
-  std::vector<std::int32_t> stack{root_};
-  while (!stack.empty()) {
-    const std::int32_t node_id = stack.back();
-    stack.pop_back();
-    if (stats != nullptr) ++stats->node_accesses;
-    const Node& node = nodes_[node_id];
-    switch (area.ClassifyBox(node.bounds)) {
-      case PreparedArea::Region::kOutside:
-        continue;
-      case PreparedArea::Region::kInside:
-        // Every node records its subtree's id range, so a fully-inside
-        // subtree bulk-accepts as one contiguous copy with no point tests.
-        out->insert(out->end(), ids_.begin() + node.begin,
-                    ids_.begin() + node.end);
-        if (stats != nullptr) {
-          stats->entries_reported += node.end - node.begin;
-          stats->bulk_accepted += node.end - node.begin;
-        }
-        continue;
-      case PreparedArea::Region::kStraddling:
-        break;
-    }
-    if (node.left < 0) {
-      for (std::uint32_t i = node.begin; i < node.end; ++i) {
-        if (area.Contains(points_[ids_[i]])) {
           out->push_back(ids_[i]);
           if (stats != nullptr) ++stats->entries_reported;
         }

@@ -21,8 +21,6 @@ class KDTree : public SpatialIndex {
   std::size_t size() const override { return points_.size(); }
   void WindowQuery(const Box& window, std::vector<PointId>* out,
                    IndexStats* stats = nullptr) const override;
-  void PolygonQuery(const PreparedArea& area, std::vector<PointId>* out,
-                    IndexStats* stats = nullptr) const override;
   PointId NearestNeighbor(const Point& q,
                           IndexStats* stats = nullptr) const override;
   void KNearestNeighbors(const Point& q, std::size_t k,

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <queue>
 
-#include "geometry/prepared_area.h"
-
 namespace vaq {
 
 Quadtree::Quadtree(int bucket_capacity, int max_depth)
@@ -119,53 +117,6 @@ void Quadtree::WindowQuery(const Box& window, std::vector<PointId>* out,
         const Box child_box = ChildBox(f.box, q);
         if (window.Intersects(child_box)) {
           stack.push_back({node.child[q], child_box});
-        }
-      }
-    }
-  }
-}
-
-void Quadtree::PolygonQuery(const PreparedArea& area,
-                            std::vector<PointId>* out,
-                            IndexStats* stats) const {
-  if (root_ < 0 || !area.prepared()) return;
-  struct Frame {
-    std::int32_t id;
-    Box box;
-    bool inside;  // An ancestor quadrant classified fully inside.
-  };
-  std::vector<Frame> stack{{root_, world_, false}};
-  while (!stack.empty()) {
-    const Frame f = stack.back();
-    stack.pop_back();
-    if (stats != nullptr) ++stats->node_accesses;
-    const Node& node = nodes_[f.id];
-    if (node.leaf) {
-      for (const Item& it : node.items) {
-        if (f.inside || area.Contains(it.point)) {
-          out->push_back(it.id);
-          if (stats != nullptr) {
-            ++stats->entries_reported;
-            if (f.inside) ++stats->bulk_accepted;
-          }
-        }
-      }
-    } else {
-      for (int q = 0; q < 4; ++q) {
-        const Box child_box = ChildBox(f.box, q);
-        if (f.inside) {
-          stack.push_back({node.child[q], child_box, true});
-          continue;
-        }
-        switch (area.ClassifyBox(child_box)) {
-          case PreparedArea::Region::kOutside:
-            break;
-          case PreparedArea::Region::kInside:
-            stack.push_back({node.child[q], child_box, true});
-            break;
-          case PreparedArea::Region::kStraddling:
-            stack.push_back({node.child[q], child_box, false});
-            break;
         }
       }
     }

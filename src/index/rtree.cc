@@ -7,8 +7,6 @@
 #include <queue>
 #include <string>
 
-#include "geometry/prepared_area.h"
-
 namespace vaq {
 
 RTree::RTree(int max_entries, int min_entries, SplitStrategy split)
@@ -332,69 +330,6 @@ void RTree::WindowQuery(const Box& window, std::vector<PointId>* out,
     } else {
       for (const Entry& e : node.entries) {
         if (window.Intersects(e.box)) stack.push_back(e.id);
-      }
-    }
-  }
-}
-
-void RTree::EmitSubtree(std::int32_t node_id, std::vector<PointId>* out,
-                        IndexStats* stats) const {
-  if (stats != nullptr) ++stats->node_accesses;
-  const Node& node = nodes_[node_id];
-  if (node.leaf) {
-    for (const Entry& e : node.entries) {
-      out->push_back(static_cast<PointId>(e.id));
-    }
-    if (stats != nullptr) {
-      stats->entries_reported += node.entries.size();
-      stats->bulk_accepted += node.entries.size();
-    }
-  } else {
-    for (const Entry& e : node.entries) EmitSubtree(e.id, out, stats);
-  }
-}
-
-void RTree::PolygonQuery(const PreparedArea& area, std::vector<PointId>* out,
-                         IndexStats* stats) const {
-  if (root_ < 0 || !area.prepared()) return;
-  // Classify each child MBR against the polygon: outside subtrees are
-  // pruned without being read (the window query visits everything inside
-  // MBR(A) \ A), inside subtrees are emitted wholesale with zero per-point
-  // tests, and only straddling paths descend to leaf-level point tests.
-  switch (area.ClassifyBox(nodes_[root_].bounds)) {
-    case PreparedArea::Region::kOutside:
-      return;
-    case PreparedArea::Region::kInside:
-      EmitSubtree(root_, out, stats);
-      return;
-    case PreparedArea::Region::kStraddling:
-      break;
-  }
-  std::vector<std::int32_t> stack{root_};
-  while (!stack.empty()) {
-    const std::int32_t node_id = stack.back();
-    stack.pop_back();
-    if (stats != nullptr) ++stats->node_accesses;
-    const Node& node = nodes_[node_id];
-    if (node.leaf) {
-      for (const Entry& e : node.entries) {
-        if (area.Contains(e.box.min)) {
-          out->push_back(static_cast<PointId>(e.id));
-          if (stats != nullptr) ++stats->entries_reported;
-        }
-      }
-    } else {
-      for (const Entry& e : node.entries) {
-        switch (area.ClassifyBox(e.box)) {
-          case PreparedArea::Region::kOutside:
-            break;
-          case PreparedArea::Region::kInside:
-            EmitSubtree(e.id, out, stats);
-            break;
-          case PreparedArea::Region::kStraddling:
-            stack.push_back(e.id);
-            break;
-        }
       }
     }
   }

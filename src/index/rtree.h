@@ -43,8 +43,6 @@ class RTree : public SpatialIndex {
   std::size_t size() const override { return count_; }
   void WindowQuery(const Box& window, std::vector<PointId>* out,
                    IndexStats* stats = nullptr) const override;
-  void PolygonQuery(const PreparedArea& area, std::vector<PointId>* out,
-                    IndexStats* stats = nullptr) const override;
   PointId NearestNeighbor(const Point& q,
                           IndexStats* stats = nullptr) const override;
   void KNearestNeighbors(const Point& q, std::size_t k,
@@ -76,10 +74,6 @@ class RTree : public SpatialIndex {
 
   std::int32_t NewNode(bool leaf);
   void RecomputeBounds(std::int32_t node_id);
-  /// Emits every point of `node_id`'s subtree without geometric tests
-  /// (bulk accept of a subtree fully inside the query polygon).
-  void EmitSubtree(std::int32_t node_id, std::vector<PointId>* out,
-                   IndexStats* stats) const;
   std::int32_t ChooseLeaf(std::int32_t node_id, const Box& box,
                           std::vector<std::int32_t>* path) const;
   /// Splits `node_id` (which overflowed) in place; returns the new sibling.

@@ -10,8 +10,6 @@
 
 namespace vaq {
 
-class PreparedArea;
-
 /// Identifier of a point stored in a spatial index. Indexes in this library
 /// store lightweight (point, id) entries; the id refers back into the
 /// caller's point table (see `PointDatabase`).
@@ -33,10 +31,6 @@ inline constexpr PointId kInvalidPointId = 0xFFFFFFFFu;
 struct IndexStats {
   std::uint64_t node_accesses = 0;
   std::uint64_t entries_reported = 0;
-  /// Of `entries_reported`, how many were emitted by bulk-accepting a
-  /// subtree whose MBR lies fully inside a query polygon (`PolygonQuery`)
-  /// — no per-point geometry test was run on them.
-  std::uint64_t bulk_accepted = 0;
 
   void Reset() { *this = IndexStats{}; }
 };
@@ -68,20 +62,6 @@ class SpatialIndex {
   /// counters are added to it.
   virtual void WindowQuery(const Box& window, std::vector<PointId>* out,
                            IndexStats* stats = nullptr) const = 0;
-
-  /// Polygon-aware filter+refine in one traversal: appends the ids of all
-  /// points inside the prepared query polygon (boundary inclusive, exactly
-  /// `Polygon::Contains` semantics) to `out`, in unspecified order.
-  ///
-  /// Implementations classify each subtree/cell MBR against the polygon:
-  /// *outside* subtrees are pruned without descending (the window query
-  /// would have visited those inside MBR(A) \ A), *inside* subtrees are
-  /// bulk-accepted with no per-point validation (`stats->bulk_accepted`),
-  /// and only *straddling* leaves run the O(1)/O(log m) prepared point
-  /// test. `area` must be prepared over the query polygon.
-  virtual void PolygonQuery(const PreparedArea& area,
-                            std::vector<PointId>* out,
-                            IndexStats* stats = nullptr) const = 0;
 
   /// Returns the id of the point closest to `q` (ties broken arbitrarily),
   /// or `kInvalidPointId` if the index is empty.

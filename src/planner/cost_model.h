@@ -48,8 +48,16 @@ struct CostModel {
   /// measured per-candidate cost falls with candidate count (bulk accept
   /// covers more interior as selectivity grows: ~57 -> ~14 ns for
   /// traditional from 1% to 32% queries); the seed takes the mid-range
-  /// and lets the bucketed EWMA absorb the slope.
-  double cpu_ns[kNumDynamicMethods] = {62.0, 30.0, 36.0, 3.5};
+  /// and lets the bucketed EWMA absorb the slope. Brute force tests every
+  /// point, and points inside the query MBR pay the exact edge test, so
+  /// its per-point cost rises with selectivity: ~4 / 17 / 31 ns at 1% /
+  /// 32% / 64% stars over 10^5 points (`BruteForceAreaQuery`, Release,
+  /// GCC 12, one pinned Xeon core), 2-5x traditional's time throughout.
+  /// The seed is the 64% figure, at least traditional's, so beyond a few
+  /// thousand points the seed never ranks brute first. (Seeded at the 1%
+  /// figure, a fresh 10^5-point database planned brute for every 32% star
+  /// until the EWMAs learned it away.)
+  double cpu_ns[kNumDynamicMethods] = {62.0, 30.0, 36.0, 31.0};
   /// Per-query fixed overhead (ns): index descent / flood seeding /
   /// prepared-grid build amortisation.
   double fixed_ns[kNumDynamicMethods] = {12000.0, 6000.0, 8000.0, 1500.0};

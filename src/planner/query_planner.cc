@@ -20,7 +20,8 @@ constexpr double kRatioCeil = 8.0;
 
 /// Per-candidate IO above this marks the query IO-bound: the crossover
 /// study's simulated-disk rows start at 1000ns/fetch, and even the
-/// cheapest per-candidate CPU (brute, ~3.5ns) is far below 100ns.
+/// cheapest measured per-candidate CPU (brute's ~4ns per point on 1%
+/// queries) is far below 100ns.
 constexpr double kIoBoundNs = 100.0;
 
 double Clamp(double v, double lo, double hi) {

@@ -195,15 +195,4 @@ std::vector<PointId> RunShardedSnapshotQuery(
   return result;
 }
 
-std::vector<PointId> ShardedAreaQuery::Run(const Polygon& area,
-                                           QueryContext& ctx) const {
-  // Pin one cross-shard version: every leg queries the exact shard
-  // snapshots recorded here, immune to concurrent mutations and to skew
-  // between shards.
-  const std::shared_ptr<const ShardedDatabase::Snapshot> snap =
-      db_->snapshot();
-  return RunShardedSnapshotQuery(*snap, method_, area, ctx, scatter_engine_,
-                                 policy_);
-}
-
 }  // namespace vaq

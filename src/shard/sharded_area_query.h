@@ -35,38 +35,26 @@ struct ShardPolicy {
 };
 
 /// Runs one scatter-gather area query against an already-pinned
-/// cross-shard snapshot: MBR prune, scatter (parallel legs through
-/// `scatter_engine`, or sequential inline legs when it is null or the
-/// caller is itself a worker of that pool), gather + merge + sort. This
-/// is the body of `ShardedAreaQuery::Run` minus the pin, exposed for the
-/// same reason as `RunDynamicSnapshotQuery`: a caller that derives other
-/// state from the snapshot — the planner keys its result cache on
-/// `Snapshot::version()` — must execute against the exact version it
-/// pinned, not whatever is current when the query runs.
-/// `ctx.stats` is reset and filled like any `AreaQuery::Run`.
-std::vector<PointId> RunShardedSnapshotQuery(
-    const ShardedDatabase::Snapshot& snap, DynamicMethod method,
-    const Polygon& area, QueryContext& ctx, QueryEngine* scatter_engine,
-    const ShardPolicy& policy);
-
-/// Scatter-gather area query over a `ShardedDatabase`:
+/// cross-shard snapshot. The caller pins (`ShardedDatabase::snapshot()`),
+/// so every leg answers the same version of the database whatever
+/// mutations run concurrently; a caller that derives other state from the
+/// snapshot — the planner keys its result cache on
+/// `Snapshot::version()` — executes against the exact version it pinned.
 ///
-///  1. **Pin** one cross-shard snapshot, so every sub-query answers the
-///     same version of the database whatever mutations run concurrently.
-///  2. **Prune**: classify each live shard's MBR against the prepared
+///  1. **Prune**: classify each live shard's MBR against the prepared
 ///     query polygon (`PreparedArea::ClassifyBox`, O(1) per shard); a
 ///     `kOutside` verdict skips the shard entirely. The MBRs are
 ///     conservative (exact after compaction, grown by inserts), so a
 ///     prune is always sound.
-///  3. **Scatter** the surviving shards: each runs the selected method
+///  2. **Scatter** the surviving shards: each runs `method`
 ///     (`RunDynamicSnapshotQueryUnordered`) against its pinned shard
 ///     snapshot and remaps its hits to global stable ids, unordered. With
-///     a scatter engine the legs run as `QueryEngine::SubmitWith` jobs in
-///     parallel — under the blocking IO model the shards overlap their
+///     a `scatter_engine` the legs run as `QueryEngine::SubmitWith` jobs
+///     in parallel — under the blocking IO model the shards overlap their
 ///     object fetches, which is where the sharded layout's throughput
-///     comes from; without one they run sequentially on the caller's
-///     context.
-///  4. **Gather**: concatenate the per-shard hits and order them with one
+///     comes from; with a null engine they run sequentially on the
+///     caller's context, with the same results and merged counters.
+///  3. **Gather**: concatenate the per-shard hits and order them with one
 ///     `SortIds` over global ids, the only sort of a sharded answer
 ///     (global id ranges interleave across shards, so a per-leg sort
 ///     would be wasted; DESIGN.md §15). Merge the per-shard `QueryStats`
@@ -77,56 +65,23 @@ std::vector<PointId> RunShardedSnapshotQuery(
 ///     end-to-end wall time of the whole scatter-gather, not the sum of
 ///     the legs.
 ///
-/// Stateless and engine-registrable like every `AreaQuery`. **Pool
-/// rule**: the scatter engine should be a pool dedicated to shard legs —
-/// a sharded query blocks its calling thread until its legs finish, so
-/// legs queued behind other sharded queries occupying every worker of
-/// the same pool would deadlock. Registering this query with its own
-/// scatter engine anyway is *safe but pointless*: `Run` detects that it
-/// is executing on a worker of the scatter pool and degrades to inline
-/// legs (`QueryEngine::OnWorkerThread`). (Fan-out legs are `SubmitWith`
-/// tasks, excluded from the scatter engine's client-facing `Stats()`.)
-class ShardedAreaQuery : public AreaQuery {
- public:
-  /// `db` (and `scatter_engine`, if given) must outlive this object.
-  /// A null `scatter_engine` runs surviving shards sequentially inline —
-  /// same results and merged counters, no intra-query parallelism.
-  /// `policy` sets the per-leg timeout/retry budget and the partial-result
-  /// mode; the default is strict (see `ShardPolicy`).
-  ShardedAreaQuery(const ShardedDatabase* db, DynamicMethod method,
-                   QueryEngine* scatter_engine = nullptr,
-                   ShardPolicy policy = {})
-      : db_(db),
-        method_(method),
-        scatter_engine_(scatter_engine),
-        policy_(policy) {}
-
-  const ShardPolicy& policy() const { return policy_; }
-
-  using AreaQuery::Run;
-  std::vector<PointId> Run(const Polygon& area,
-                           QueryContext& ctx) const override;
-
-  std::string_view Name() const override {
-    switch (method_) {
-      case DynamicMethod::kVoronoi:
-        return "sharded-voronoi";
-      case DynamicMethod::kTraditional:
-        return "sharded-traditional";
-      case DynamicMethod::kGridSweep:
-        return "sharded-grid-sweep";
-      case DynamicMethod::kBruteForce:
-        break;
-    }
-    return "sharded-brute-force";
-  }
-
- private:
-  const ShardedDatabase* db_;
-  DynamicMethod method_;
-  QueryEngine* scatter_engine_;
-  ShardPolicy policy_;
-};
+/// `policy` sets the per-leg timeout/retry budget and the partial-result
+/// mode (see `ShardPolicy`). `ctx.stats` is reset and filled like any
+/// `AreaQuery::Run`.
+///
+/// **Pool rule**: the scatter engine should be a pool dedicated to shard
+/// legs — a sharded query blocks its calling thread until its legs
+/// finish, so legs queued behind other sharded queries occupying every
+/// worker of the same pool would deadlock. Calling this from a worker of
+/// `scatter_engine` anyway (a query registered on the pool it scatters
+/// into) is *safe but pointless*: the call detects it
+/// (`QueryEngine::OnWorkerThread`) and degrades to inline legs. Fan-out
+/// legs are `SubmitWith` tasks, excluded from the scatter engine's
+/// client-facing `Stats()`.
+std::vector<PointId> RunShardedSnapshotQuery(
+    const ShardedDatabase::Snapshot& snap, DynamicMethod method,
+    const Polygon& area, QueryContext& ctx, QueryEngine* scatter_engine,
+    const ShardPolicy& policy);
 
 }  // namespace vaq
 

@@ -23,7 +23,8 @@ class QueryEngine;
 /// internally — and cuts the curve into K contiguous key ranges of
 /// roughly n/K points. Curve locality makes the ranges spatially compact,
 /// so shard MBRs overlap little and an area query can prune most shards
-/// by one `PreparedArea::ClassifyBox` test each (see `ShardedAreaQuery`).
+/// by one `PreparedArea::ClassifyBox` test each (see
+/// `RunShardedSnapshotQuery`).
 ///
 /// **Cuts are key-aligned**: a run of points sharing one curve key is
 /// never split across shards. That makes the partition a function of the
@@ -189,8 +190,9 @@ class ShardedDatabase {
   /// `scatter_engine` configures the planned query at the *first* call
   /// (later arguments are ignored) and must outlive this database. Note a
   /// planned sharded query may scatter onto that engine: registering it
-  /// on the same engine is safe only because `ShardedAreaQuery` falls
-  /// back to inline legs on a worker thread (the self-submission guard).
+  /// on the same engine is safe only because `RunShardedSnapshotQuery`
+  /// falls back to inline legs on a worker thread (the self-submission
+  /// guard).
   const PlannedAreaQuery* PlannedQuery(
       QueryEngine* scatter_engine = nullptr) const;
 

@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "core/brute_force_area_query.h"
-#include "core/dynamic_area_query.h"
 #include "core/dynamic_point_database.h"
+#include "planner/query_plan.h"
 #include "workload/point_generator.h"
 #include "workload/polygon_generator.h"
 #include "workload/rng.h"
@@ -86,11 +86,16 @@ ChurnReport RunChurnExperiment(const ChurnConfig& config) {
         [&](PointId id, const Point& p) { live.Add(id, p); });
   }
 
-  const DynamicAreaQuery methods[] = {
-      DynamicAreaQuery(&db, DynamicMethod::kVoronoi),
-      DynamicAreaQuery(&db, DynamicMethod::kTraditional),
-      DynamicAreaQuery(&db, DynamicMethod::kGridSweep),
-      DynamicAreaQuery(&db, DynamicMethod::kBruteForce),
+  // Every method through the served planned path, forced and uncached
+  // (the cache key ignores the method, so a hit would compare an answer
+  // with itself).
+  constexpr DynamicMethod kMethods[] = {
+      DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
+      DynamicMethod::kGridSweep, DynamicMethod::kBruteForce};
+  const auto run = [&db](DynamicMethod m, const Polygon& area,
+                         QueryContext& ctx) {
+    return db.Query(area, ctx,
+                    PlanHints{.force_method = m, .use_cache = false});
   };
 
   PolygonSpec spec;
@@ -125,9 +130,9 @@ ChurnReport RunChurnExperiment(const ChurnConfig& config) {
     } else {
       const Polygon area = GenerateQueryPolygon(spec, kDomain, &rng);
       const auto t0 = Clock::now();
-      const std::vector<PointId> truth = methods[0].Run(area, ctx);
+      const std::vector<PointId> truth = run(kMethods[0], area, ctx);
       for (std::size_t m = 1; m < 4; ++m) {
-        if (methods[m].Run(area, ctx) != truth) ++report.mismatches;
+        if (run(kMethods[m], area, ctx) != truth) ++report.mismatches;
       }
       report.query_ms += MsSince(t0);
       ++report.queries;
@@ -148,8 +153,8 @@ ChurnReport RunChurnExperiment(const ChurnConfig& config) {
         truth.push_back(live.ids()[rebuilt.OriginalId(internal)]);
       }
       std::sort(truth.begin(), truth.end());
-      for (const DynamicAreaQuery& method : methods) {
-        if (method.Run(area, ctx) != truth) ++report.mismatches;
+      for (const DynamicMethod m : kMethods) {
+        if (run(m, area, ctx) != truth) ++report.mismatches;
       }
       report.verify_ms += MsSince(t0);
       ++report.verifications;

@@ -199,11 +199,14 @@ TEST_F(AnswerOrderTest, ShardedGatherAscendsInGlobalIds) {
   for (const Case& c : Cases(tiny_center_)) {
     const std::vector<PointId> truth = BruteForce(live_, c.area);
     for (const DynamicMethod m : kMethods) {
-      const ShardedAreaQuery inline_legs(&db, m);
-      EXPECT_TRUE(AscendingAndExact(inline_legs.Run(c.area, ctx), truth))
+      EXPECT_TRUE(AscendingAndExact(
+          RunShardedSnapshotQuery(*db.snapshot(), m, c.area, ctx, nullptr, {}),
+          truth))
           << Label(c, m) << " inline";
-      const ShardedAreaQuery scattered(&db, m, &scatter);
-      EXPECT_TRUE(AscendingAndExact(scattered.Run(c.area, ctx), truth))
+      EXPECT_TRUE(AscendingAndExact(RunShardedSnapshotQuery(*db.snapshot(), m,
+                                                            c.area, ctx,
+                                                            &scatter, {}),
+                                    truth))
           << Label(c, m) << " scattered";
     }
     EXPECT_TRUE(AscendingAndExact(db.Query(c.area, ctx, &scatter), truth))

@@ -10,8 +10,8 @@
 #include <gtest/gtest.h>
 
 #include "core/brute_force_area_query.h"
-#include "core/dynamic_area_query.h"
 #include "core/dynamic_point_database.h"
+#include "planner/query_plan.h"
 #include "workload/churn.h"
 #include "workload/point_generator.h"
 #include "workload/polygon_generator.h"
@@ -55,12 +55,9 @@ TEST(DynamicChurnPropertyTest, ExplicitCompactionBoundariesAreSeamless) {
   options.auto_compact = false;
   DynamicPointDatabase db(GenerateUniformPoints(1500, kUnit, &rng),
                           options);
-  const DynamicAreaQuery methods[] = {
-      DynamicAreaQuery(&db, DynamicMethod::kVoronoi),
-      DynamicAreaQuery(&db, DynamicMethod::kTraditional),
-      DynamicAreaQuery(&db, DynamicMethod::kGridSweep),
-      DynamicAreaQuery(&db, DynamicMethod::kBruteForce),
-  };
+  const DynamicMethod methods[] = {
+      DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
+      DynamicMethod::kGridSweep, DynamicMethod::kBruteForce};
   PolygonSpec spec;
   spec.query_size_fraction = 0.08;
 
@@ -85,9 +82,11 @@ TEST(DynamicChurnPropertyTest, ExplicitCompactionBoundariesAreSeamless) {
       truth.push_back(ids[rebuilt.OriginalId(internal)]);
     }
     std::sort(truth.begin(), truth.end());
-    for (const DynamicAreaQuery& method : methods) {
-      EXPECT_EQ(method.Run(area, ctx), truth)
-          << when << ", method: " << method.Name();
+    for (const DynamicMethod method : methods) {
+      EXPECT_EQ(db.Query(area, ctx,
+                         PlanHints{.force_method = method, .use_cache = false}),
+                truth)
+          << when << ", method: " << MethodName(method);
     }
   };
 

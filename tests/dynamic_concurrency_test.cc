@@ -11,9 +11,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/dynamic_area_query.h"
 #include "core/dynamic_point_database.h"
 #include "engine/query_engine.h"
+#include "planner/planned_area_query.h"
 #include "workload/point_generator.h"
 #include "workload/polygon_generator.h"
 #include "workload/rng.h"
@@ -30,18 +30,17 @@ TEST(DynamicConcurrencyTest, EngineQueriesConcurrentWithMutations) {
   DynamicPointDatabase db(GenerateUniformPoints(4000, kUnit, &rng),
                           options);
 
-  const DynamicAreaQuery voronoi(&db, DynamicMethod::kVoronoi);
-  const DynamicAreaQuery traditional(&db, DynamicMethod::kTraditional);
-  const DynamicAreaQuery grid_sweep(&db, DynamicMethod::kGridSweep);
-  const DynamicAreaQuery brute(&db, DynamicMethod::kBruteForce);
-
-  QueryEngine engine({.num_threads = 4});
-  const int methods[] = {
-      engine.RegisterMethod(&voronoi),
-      engine.RegisterMethod(&traditional),
-      engine.RegisterMethod(&grid_sweep),
-      engine.RegisterMethod(&brute),
+  // The served configuration: the engine runs the database's planned
+  // query, and each submission forces its method through the hints.
+  const DynamicMethod methods[] = {
+      DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
+      DynamicMethod::kGridSweep, DynamicMethod::kBruteForce};
+  const auto forced = [](DynamicMethod m) {
+    return PlanHints{.force_method = m, .use_cache = false};
   };
+  SubmitOptions opts;
+  QueryEngine engine({.num_threads = 4});
+  const int planned = engine.RegisterMethod(db.PlannedQuery());
 
   // Two writers churn (one calls explicit Compact too) while the main
   // thread pushes queries through the pool.
@@ -75,7 +74,8 @@ TEST(DynamicConcurrencyTest, EngineQueriesConcurrentWithMutations) {
   std::vector<std::future<QueryResult>> futures;
   for (int i = 0; i < 200; ++i) {
     const Polygon area = GenerateQueryPolygon(spec, kUnit, &rng);
-    futures.push_back(engine.Submit(area, methods[i % 4]));
+    opts.hints = forced(methods[i % 4]);
+    futures.push_back(engine.Submit(area, planned, opts));
   }
   for (auto& f : futures) {
     const QueryResult r = f.get();
@@ -96,10 +96,12 @@ TEST(DynamicConcurrencyTest, EngineQueriesConcurrentWithMutations) {
   // Quiesced: all four methods agree with each other again.
   QueryContext ctx;
   const Polygon area = GenerateQueryPolygon(spec, kUnit, &rng);
-  const std::vector<PointId> truth = brute.Run(area, ctx);
-  EXPECT_EQ(voronoi.Run(area, ctx), truth);
-  EXPECT_EQ(traditional.Run(area, ctx), truth);
-  EXPECT_EQ(grid_sweep.Run(area, ctx), truth);
+  const std::vector<PointId> truth =
+      db.Query(area, ctx, forced(DynamicMethod::kBruteForce));
+  for (int m = 0; m < 3; ++m) {
+    EXPECT_EQ(db.Query(area, ctx, forced(methods[m])), truth)
+        << MethodName(methods[m]);
+  }
 }
 
 TEST(DynamicConcurrencyTest, SnapshotOutlivesCompactionDuringQuery) {

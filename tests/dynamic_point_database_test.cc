@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/dynamic_area_query.h"
+#include "planner/query_plan.h"
 #include "workload/point_generator.h"
 #include "workload/polygon_generator.h"
 #include "workload/rng.h"
@@ -20,6 +20,15 @@ constexpr Box kUnit = Box{{0.0, 0.0}, {1.0, 1.0}};
 const DynamicMethod kAllMethods[] = {
     DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
     DynamicMethod::kGridSweep, DynamicMethod::kBruteForce};
+
+/// `method` forced through the served planned path, uncached so every
+/// call executes.
+std::vector<PointId> RunMethod(const DynamicPointDatabase& db,
+                               DynamicMethod method, const Polygon& area,
+                               QueryContext& ctx) {
+  return db.Query(area, ctx,
+                  PlanHints{.force_method = method, .use_cache = false});
+}
 
 /// Ground truth over the dynamic database's own live set: brute force on
 /// the snapshot, in stable ids.
@@ -133,10 +142,9 @@ TEST(DynamicPointDatabaseTest, AllMethodsAnswerOverBaseDeltaTombstones) {
   const std::vector<PointId> expected = LiveBruteForce(db, area);
   ASSERT_FALSE(expected.empty());
   for (const DynamicMethod method : kAllMethods) {
-    const DynamicAreaQuery query(&db, method);
     QueryContext ctx;
-    EXPECT_EQ(query.Run(area, ctx), expected)
-        << "method: " << query.Name();
+    EXPECT_EQ(RunMethod(db, method, area, ctx), expected)
+        << "method: " << MethodName(method);
   }
 }
 
@@ -169,17 +177,15 @@ TEST(DynamicPointDatabaseTest, DeltaSpansMultipleChunksWithErases) {
   const Polygon area = TestArea(17, 0.2);
   const std::vector<PointId> expected = LiveBruteForce(db, area);
   for (const DynamicMethod method : kAllMethods) {
-    const DynamicAreaQuery query(&db, method);
     QueryContext ctx;
-    EXPECT_EQ(query.Run(area, ctx), expected)
-        << "method: " << query.Name();
+    EXPECT_EQ(RunMethod(db, method, area, ctx), expected)
+        << "method: " << MethodName(method);
   }
   db.Compact();
   for (const DynamicMethod method : kAllMethods) {
-    const DynamicAreaQuery query(&db, method);
     QueryContext ctx;
-    EXPECT_EQ(query.Run(area, ctx), expected)
-        << "method: " << query.Name();
+    EXPECT_EQ(RunMethod(db, method, area, ctx), expected)
+        << "method: " << MethodName(method);
   }
 }
 
@@ -198,9 +204,8 @@ TEST(DynamicPointDatabaseTest, CompactPreservesIdsAndResults) {
 
   const Polygon area = TestArea(11, 0.15);
   const std::vector<PointId> before = LiveBruteForce(db, area);
-  const DynamicAreaQuery query(&db, DynamicMethod::kVoronoi);
   QueryContext ctx;
-  EXPECT_EQ(query.Run(area, ctx), before);
+  EXPECT_EQ(RunMethod(db, DynamicMethod::kVoronoi, area, ctx), before);
   EXPECT_GT(ctx.stats.delta_candidates, 0u);
 
   db.Compact();
@@ -211,7 +216,7 @@ TEST(DynamicPointDatabaseTest, CompactPreservesIdsAndResults) {
 
   // Same stable ids before and after the rebuild, and the delta share of
   // the candidates is gone.
-  EXPECT_EQ(query.Run(area, ctx), before);
+  EXPECT_EQ(RunMethod(db, DynamicMethod::kVoronoi, area, ctx), before);
   EXPECT_EQ(ctx.stats.delta_candidates, 0u);
   EXPECT_EQ(db.Find(inserted.front()).has_value(), true);
   EXPECT_EQ(db.Find(150), std::nullopt);  // Tombstone stayed dead.
@@ -239,9 +244,8 @@ TEST(DynamicPointDatabaseTest, EmptyInitialDatabaseGrowsFromDelta) {
   const Polygon area = TestArea(3, 0.3);
   // Queries on a fully empty database return nothing and fill stats.
   for (const DynamicMethod method : kAllMethods) {
-    const DynamicAreaQuery query(&db, method);
     QueryContext ctx;
-    EXPECT_TRUE(query.Run(area, ctx).empty());
+    EXPECT_TRUE(RunMethod(db, method, area, ctx).empty());
     EXPECT_GT(ctx.stats.elapsed_ms, 0.0);
   }
 
@@ -251,19 +255,17 @@ TEST(DynamicPointDatabaseTest, EmptyInitialDatabaseGrowsFromDelta) {
   }
   const std::vector<PointId> expected = LiveBruteForce(db, area);
   for (const DynamicMethod method : kAllMethods) {
-    const DynamicAreaQuery query(&db, method);
     QueryContext ctx;
-    EXPECT_EQ(query.Run(area, ctx), expected)
-        << "method: " << query.Name();
+    EXPECT_EQ(RunMethod(db, method, area, ctx), expected)
+        << "method: " << MethodName(method);
   }
 
   // Folding a delta into an empty base exercises the smallest rebuilds.
   db.Compact();
   for (const DynamicMethod method : kAllMethods) {
-    const DynamicAreaQuery query(&db, method);
     QueryContext ctx;
-    EXPECT_EQ(query.Run(area, ctx), expected)
-        << "method: " << query.Name();
+    EXPECT_EQ(RunMethod(db, method, area, ctx), expected)
+        << "method: " << MethodName(method);
   }
 }
 
@@ -302,14 +304,13 @@ TEST(DynamicPointDatabaseTest, StatsKeepCandidateInvariant) {
 
   const Polygon area = TestArea(13, 0.1);
   for (const DynamicMethod method : kAllMethods) {
-    const DynamicAreaQuery query(&db, method);
     QueryContext ctx;
-    const auto result = query.Run(area, ctx);
+    const auto result = RunMethod(db, method, area, ctx);
     EXPECT_EQ(ctx.stats.results, result.size());
     EXPECT_EQ(ctx.stats.delta_candidates, db.DeltaSize());
     EXPECT_EQ(ctx.stats.candidates,
               ctx.stats.candidate_hits + ctx.stats.visited_rejected)
-        << "method: " << query.Name();
+        << "method: " << MethodName(method);
     // Tombstoned hits are validated candidates but not results; every
     // result is either a validated hit or a bulk accept (grid-sweep).
     EXPECT_GE(ctx.stats.candidate_hits + ctx.stats.bulk_accepted,

@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dynamic_point_database.h"
 #include "planner/cost_model.h"
+#include "planner/planned_area_query.h"
 #include "planner/query_plan.h"
+#include "workload/point_generator.h"
+#include "workload/polygon_generator.h"
+#include "workload/rng.h"
 
 namespace vaq {
 namespace {
@@ -71,11 +76,31 @@ TEST(QueryPlannerTest, SeedModelPicksVoronoiUnderIo) {
 
 TEST(QueryPlannerTest, TinyDataFallsBackToBruteForce) {
   PlanFeatures f = MemoryFeatures();
-  f.n = 100;  // Fixed index/prepare overheads dwarf 100 * 3.5ns.
+  f.n = 100;  // Fixed index/prepare overheads dwarf 100 * 31ns.
   const QueryPlanner planner;
   const QueryPlan plan = planner.Plan(f, PlanHints{});
   EXPECT_EQ(plan.method, DynamicMethod::kBruteForce);
   EXPECT_TRUE(plan.reason & plan_reason::kTinyData);
+}
+
+TEST(QueryPlannerTest, SeedModelPicksNoBruteForLargeStarsOnFreshDatabase) {
+  // A fresh database has no learned state, so the seed alone decides. At
+  // 10^5 points a large star costs brute force 2-5x the window filter (it
+  // tests every point, and the points inside the MBR pay the exact edge
+  // test), so no such query may plan brute.
+  const Box unit{{0.0, 0.0}, {1.0, 1.0}};
+  Rng rng(1);
+  const DynamicPointDatabase db(GenerateUniformPoints(100000, unit, &rng));
+  for (const double size : {0.32, 0.64}) {
+    PolygonSpec spec;
+    spec.query_size_fraction = size;
+    for (int i = 0; i < 50; ++i) {
+      const Polygon area = GenerateQueryPolygon(spec, unit, &rng);
+      EXPECT_NE(db.PlannedQuery()->PlanFor(area).method,
+                DynamicMethod::kBruteForce)
+          << "size " << size << ", polygon " << i;
+    }
+  }
 }
 
 TEST(QueryPlannerTest, ForcedMethodShortCircuitsTheModel) {

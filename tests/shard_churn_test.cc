@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <future>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -18,6 +17,7 @@
 #include "core/brute_force_area_query.h"
 #include "core/point_database.h"
 #include "engine/query_engine.h"
+#include "planner/query_plan.h"
 #include "shard/sharded_area_query.h"
 #include "shard/sharded_database.h"
 #include "workload/point_generator.h"
@@ -28,6 +28,10 @@ namespace vaq {
 namespace {
 
 constexpr Box kUnit = Box{{0.0, 0.0}, {1.0, 1.0}};
+
+constexpr DynamicMethod kMethods[] = {
+    DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
+    DynamicMethod::kGridSweep, DynamicMethod::kBruteForce};
 
 /// Ground truth for the current version: rebuild a monolithic database
 /// from the snapshot's live set and brute-force it, then map internal ids
@@ -62,12 +66,6 @@ TEST(ShardChurnTest, ChurnStreamMatchesRebuildAcrossCompactions) {
   options.shard.compact_threshold = 150;
   ShardedDatabase db(GenerateUniformPoints(1500, kUnit, &rng), options);
 
-  const ShardedAreaQuery methods[] = {
-      ShardedAreaQuery(&db, DynamicMethod::kVoronoi),
-      ShardedAreaQuery(&db, DynamicMethod::kTraditional),
-      ShardedAreaQuery(&db, DynamicMethod::kGridSweep),
-      ShardedAreaQuery(&db, DynamicMethod::kBruteForce),
-  };
   PolygonSpec spec;
   spec.query_size_fraction = 0.06;
 
@@ -97,9 +95,12 @@ TEST(ShardChurnTest, ChurnStreamMatchesRebuildAcrossCompactions) {
       const Polygon area = GenerateQueryPolygon(spec, kUnit, &rng);
       const std::vector<PointId> truth =
           RebuildTruth(*db.snapshot(), area);
-      for (const ShardedAreaQuery& method : methods) {
-        EXPECT_EQ(method.Run(area, ctx), truth)
-            << "op=" << op << " method=" << method.Name();
+      for (const DynamicMethod method : kMethods) {
+        EXPECT_EQ(db.Query(area, ctx, nullptr,
+                           PlanHints{.force_method = method,
+                                     .use_cache = false}),
+                  truth)
+            << "op=" << op << " method=" << MethodName(method);
         EXPECT_EQ(ctx.stats.candidates,
                   ctx.stats.candidate_hits + ctx.stats.visited_rejected);
         EXPECT_EQ(ctx.stats.shards_hit + ctx.stats.shards_pruned, 4u);
@@ -119,21 +120,14 @@ TEST(ShardChurnTest, QueriesConcurrentWithMutationsAreSnapshotConsistent) {
   options.shard.compact_threshold = 256;
   ShardedDatabase db(GenerateUniformPoints(3000, kUnit, &rng), options);
 
-  // Frontend engine executes the sharded queries; a separate scatter pool
-  // runs their fan-out legs (see the ShardedAreaQuery deadlock rule).
+  // Two query threads run sharded queries whose fan-out legs all go to
+  // one scatter pool (see the pool rule on `RunShardedSnapshotQuery`).
+  // Each query pins the version current when it starts.
   QueryEngine scatter({.num_threads = 2});
-  const ShardedAreaQuery methods[] = {
-      ShardedAreaQuery(&db, DynamicMethod::kVoronoi, &scatter),
-      ShardedAreaQuery(&db, DynamicMethod::kTraditional, &scatter),
-      ShardedAreaQuery(&db, DynamicMethod::kGridSweep, &scatter),
-      ShardedAreaQuery(&db, DynamicMethod::kBruteForce, &scatter),
-  };
-  QueryEngine frontend({.num_threads = 2});
-  const int method_ids[] = {
-      frontend.RegisterMethod(&methods[0]),
-      frontend.RegisterMethod(&methods[1]),
-      frontend.RegisterMethod(&methods[2]),
-      frontend.RegisterMethod(&methods[3]),
+  const auto run = [&db, &scatter](DynamicMethod method,
+                                   const Polygon& area, QueryContext& ctx) {
+    return RunShardedSnapshotQuery(*db.snapshot(), method, area, ctx,
+                                   &scatter, ShardPolicy{});
   };
 
   std::atomic<bool> stop{false};
@@ -163,13 +157,23 @@ TEST(ShardChurnTest, QueriesConcurrentWithMutationsAreSnapshotConsistent) {
 
   PolygonSpec spec;
   spec.query_size_fraction = 0.05;
-  std::vector<std::future<QueryResult>> futures;
+  std::vector<Polygon> areas;
   for (int i = 0; i < 120; ++i) {
-    const Polygon area = GenerateQueryPolygon(spec, kUnit, &rng);
-    futures.push_back(frontend.Submit(area, method_ids[i % 4]));
+    areas.push_back(GenerateQueryPolygon(spec, kUnit, &rng));
   }
-  for (std::future<QueryResult>& f : futures) {
-    const QueryResult r = f.get();
+  std::vector<QueryResult> results(areas.size());
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      QueryContext ctx;
+      for (std::size_t i = c; i < areas.size(); i += 2) {
+        results[i].ids = run(kMethods[i % 4], areas[i], ctx);
+        results[i].stats = ctx.stats;
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (const QueryResult& r : results) {
     // Internal consistency under churn: sorted distinct global ids and a
     // coherent merged stats slot. (Cross-method equality is not asserted
     // mid-churn: two submissions may pin different versions.)
@@ -188,8 +192,8 @@ TEST(ShardChurnTest, QueriesConcurrentWithMutationsAreSnapshotConsistent) {
   QueryContext ctx;
   const Polygon area = GenerateQueryPolygon(spec, kUnit, &rng);
   const std::vector<PointId> truth = RebuildTruth(*db.snapshot(), area);
-  for (const ShardedAreaQuery& method : methods) {
-    EXPECT_EQ(method.Run(area, ctx), truth) << method.Name();
+  for (const DynamicMethod method : kMethods) {
+    EXPECT_EQ(run(method, area, ctx), truth) << MethodName(method);
   }
 }
 

@@ -13,7 +13,7 @@
 
 #include "core/brute_force_area_query.h"
 #include "core/point_database.h"
-#include "shard/sharded_area_query.h"
+#include "planner/query_plan.h"
 #include "shard/sharded_database.h"
 #include "workload/point_generator.h"
 #include "workload/polygon_generator.h"
@@ -28,6 +28,11 @@ ShardedDatabase::Options ShardOptions(std::size_t k) {
   ShardedDatabase::Options options;
   options.num_shards = k;
   return options;
+}
+
+/// `method` forced through the served planned path, uncached.
+PlanHints Forced(DynamicMethod method) {
+  return PlanHints{.force_method = method, .use_cache = false};
 }
 
 TEST(ShardConstructionTest, ZeroShardsIsRejected) {
@@ -52,10 +57,10 @@ TEST(ShardConstructionTest, MoreShardsThanPointsWorks) {
   for (const DynamicMethod method :
        {DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
         DynamicMethod::kGridSweep, DynamicMethod::kBruteForce}) {
-    const ShardedAreaQuery query(&sharded, method);
-    const std::vector<PointId> got = query.Run(everything, ctx);
+    const std::vector<PointId> got =
+        sharded.Query(everything, ctx, nullptr, Forced(method));
     EXPECT_EQ(got, (std::vector<PointId>{0, 1, 2, 3, 4}))
-        << "method=" << query.Name();
+        << "method=" << MethodName(method);
     EXPECT_EQ(ctx.stats.shards_hit + ctx.stats.shards_pruned, 16u);
   }
 
@@ -66,8 +71,11 @@ TEST(ShardConstructionTest, MoreShardsThanPointsWorks) {
     ASSERT_TRUE(id.has_value());
   }
   EXPECT_EQ(sharded.Size(), 69u);
-  const ShardedAreaQuery brute(&sharded, DynamicMethod::kBruteForce);
-  EXPECT_EQ(brute.Run(everything, ctx).size(), 69u);
+  EXPECT_EQ(sharded
+                .Query(everything, ctx, nullptr,
+                       Forced(DynamicMethod::kBruteForce))
+                .size(),
+            69u);
 }
 
 TEST(ShardConstructionTest, EmptyInputWorks) {
@@ -76,11 +84,11 @@ TEST(ShardConstructionTest, EmptyInputWorks) {
   QueryContext ctx;
   const Polygon area = Polygon(
       std::vector<Point>{{0.0, 0.0}, {1.0, 0.0}, {0.5, 1.0}});
-  const ShardedAreaQuery query(&sharded, DynamicMethod::kVoronoi);
-  EXPECT_TRUE(query.Run(area, ctx).empty());
+  const PlanHints voronoi = Forced(DynamicMethod::kVoronoi);
+  EXPECT_TRUE(sharded.Query(area, ctx, nullptr, voronoi).empty());
   EXPECT_EQ(ctx.stats.shards_pruned, 4u);
   EXPECT_TRUE(sharded.Insert({0.5, 0.5}).has_value());
-  EXPECT_EQ(query.Run(area, ctx).size(), 1u);
+  EXPECT_EQ(sharded.Query(area, ctx, nullptr, voronoi).size(), 1u);
 
   // Routing over the empty-construction default domain is a real K-way
   // split, not a single-shard funnel: a spread of inserts must populate

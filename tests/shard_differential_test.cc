@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <numeric>
 #include <random>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "core/traditional_area_query.h"
 #include "core/voronoi_area_query.h"
 #include "engine/query_engine.h"
+#include "planner/planned_area_query.h"
 #include "shard/sharded_area_query.h"
 #include "shard/sharded_database.h"
 #include "workload/point_generator.h"
@@ -60,6 +62,12 @@ ShardedDatabase::Options ShardOptions(std::size_t k) {
   return options;
 }
 constexpr std::size_t kShardCounts[] = {1, 2, 4, 8, 16};
+
+/// `method` forced through the served planned path. Uncached: the cache
+/// key ignores the method, so a hit would replay another method's answer.
+PlanHints Forced(DynamicMethod method) {
+  return PlanHints{.force_method = method, .use_cache = false};
+}
 
 /// The unsharded ground truth for `method`, in the input-position id space
 /// the sharded database's global stable ids live in.
@@ -122,11 +130,11 @@ TEST(ShardDifferentialTest, MatchesUnshardedOracleAcrossShardCounts) {
         for (std::size_t m = 0; m < 4; ++m) {
           const std::vector<PointId> truth =
               OracleRun(oracle, *oracle_methods[m], area, ctx);
-          const ShardedAreaQuery query(&sharded, methods[m]);
-          const std::vector<PointId> got = query.Run(area, ctx);
-          EXPECT_EQ(got, truth)
-              << "n=" << dataset.size << " K=" << k
-              << " query_size=" << query_size << " method=" << query.Name();
+          const std::vector<PointId> got =
+              sharded.Query(area, ctx, nullptr, Forced(methods[m]));
+          EXPECT_EQ(got, truth) << "n=" << dataset.size << " K=" << k
+                                << " query_size=" << query_size
+                                << " method=" << MethodName(methods[m]);
           ExpectMergedStatsInvariants(ctx.stats, k, got.size());
         }
       }
@@ -155,11 +163,12 @@ TEST(ShardDifferentialTest, ScatterEngineMatchesInlineExecution) {
     for (const DynamicMethod method :
          {DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
           DynamicMethod::kGridSweep, DynamicMethod::kBruteForce}) {
-      const ShardedAreaQuery inline_query(&sharded, method);
-      const ShardedAreaQuery parallel_query(&sharded, method, &scatter);
-      const std::vector<PointId> inline_ids = inline_query.Run(area, ctx);
+      const auto snap = sharded.snapshot();
+      const std::vector<PointId> inline_ids = RunShardedSnapshotQuery(
+          *snap, method, area, ctx, nullptr, ShardPolicy{});
       const QueryStats inline_stats = ctx.stats;
-      const std::vector<PointId> parallel_ids = parallel_query.Run(area, ctx);
+      const std::vector<PointId> parallel_ids = RunShardedSnapshotQuery(
+          *snap, method, area, ctx, &scatter, ShardPolicy{});
       EXPECT_EQ(inline_ids, truth);
       EXPECT_EQ(parallel_ids, truth);
       // The merge is order-independent, so the two execution modes agree
@@ -181,7 +190,10 @@ TEST(ShardDifferentialTest, SelfScatterEngineDegradesToInlineNotDeadlock) {
   // the very engine it scatters into. All 2 workers fill up with parent
   // queries; without the OnWorkerThread guard every parent would block
   // forever on legs nobody can pop. With it, parents run their legs
-  // inline and results stay exact.
+  // inline and results stay exact. The cost model is told scattering is
+  // free, so every plan asks for the scatter path the guard must
+  // intercept (the default model runs these small legs inline), and the
+  // cache is off so every query executes.
   Rng rng(6060);
   const std::vector<Point> points = GenerateUniformPoints(2000, kUnit, &rng);
   const PointDatabase oracle(points);
@@ -189,7 +201,10 @@ TEST(ShardDifferentialTest, SelfScatterEngineDegradesToInlineNotDeadlock) {
   const ShardedDatabase sharded(points, ShardOptions(8));
 
   QueryEngine engine({.num_threads = 2});
-  const ShardedAreaQuery query(&sharded, DynamicMethod::kVoronoi, &engine);
+  CostModel model;
+  model.scatter_overhead_ns = 0.0;
+  const PlannedAreaQuery query(&sharded, &engine, ShardPolicy{},
+                               {.cache_capacity = 0, .model = model});
   const int method = engine.RegisterMethod(&query);
 
   PolygonSpec spec;
@@ -199,9 +214,16 @@ TEST(ShardDifferentialTest, SelfScatterEngineDegradesToInlineNotDeadlock) {
   for (int i = 0; i < 16; ++i) {
     areas.push_back(GenerateQueryPolygon(spec, kUnit, &rng));
   }
-  const std::vector<QueryResult> results = engine.RunBatch(areas, method);
+  SubmitOptions voronoi;
+  voronoi.hints.force_method = DynamicMethod::kVoronoi;
+  std::vector<std::future<QueryResult>> futures;
+  for (const Polygon& area : areas) {
+    futures.push_back(engine.Submit(area, method, voronoi));
+  }
   for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(results[i].ids, OracleRun(oracle, oracle_brute, areas[i], ctx));
+    const QueryResult r = futures[i].get();
+    EXPECT_NE(r.stats.plan_reason & plan_reason::kScatter, 0u) << i;
+    EXPECT_EQ(r.ids, OracleRun(oracle, oracle_brute, areas[i], ctx));
   }
 }
 
@@ -247,11 +269,10 @@ TEST(ShardDifferentialTest, ShardAssignmentIsPermutationInvariant) {
     Rng query_rng(556);
     for (int rep = 0; rep < 4; ++rep) {
       const Polygon area = GenerateQueryPolygon(spec, kUnit, &query_rng);
-      const ShardedAreaQuery qa(&a, DynamicMethod::kVoronoi);
-      const ShardedAreaQuery qb(&b, DynamicMethod::kVoronoi);
-      const std::vector<PointId> ids_a = qa.Run(area, ctx);
+      const PlanHints voronoi = Forced(DynamicMethod::kVoronoi);
+      const std::vector<PointId> ids_a = a.Query(area, ctx, nullptr, voronoi);
       std::vector<PointId> ids_b_mapped;
-      for (const PointId id : qb.Run(area, ctx)) {
+      for (const PointId id : b.Query(area, ctx, nullptr, voronoi)) {
         ids_b_mapped.push_back(perm[id]);
       }
       std::sort(ids_b_mapped.begin(), ids_b_mapped.end());
@@ -290,9 +311,8 @@ TEST(ShardDifferentialTest, ConcaveAreaSpanningShardsStaysComplete) {
     for (const DynamicMethod method :
          {DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
           DynamicMethod::kGridSweep, DynamicMethod::kBruteForce}) {
-      const ShardedAreaQuery query(&sharded, method);
-      EXPECT_EQ(query.Run(u_shape, ctx), truth)
-          << "K=" << k << " method=" << query.Name();
+      EXPECT_EQ(sharded.Query(u_shape, ctx, nullptr, Forced(method)), truth)
+          << "K=" << k << " method=" << MethodName(method);
     }
   }
 }
@@ -314,8 +334,9 @@ TEST(ShardDifferentialTest, PruningSkipsShardsButNeverResults) {
     const Polygon area = GenerateQueryPolygon(spec, kUnit, &rng);
     const std::vector<PointId> truth =
         OracleRun(oracle, oracle_brute, area, ctx);
-    const ShardedAreaQuery query(&sharded, DynamicMethod::kTraditional);
-    EXPECT_EQ(query.Run(area, ctx), truth);
+    EXPECT_EQ(sharded.Query(area, ctx, nullptr,
+                            Forced(DynamicMethod::kTraditional)),
+              truth);
     total_pruned += ctx.stats.shards_pruned;
   }
   // 1%-sized queries against 16 Hilbert-compact shards: the large

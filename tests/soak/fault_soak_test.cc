@@ -26,7 +26,7 @@
 #include "core/traditional_area_query.h"
 #include "core/voronoi_area_query.h"
 #include "fault/fault.h"
-#include "shard/sharded_area_query.h"
+#include "planner/planned_area_query.h"
 #include "shard/sharded_database.h"
 #include "storage/page_format.h"
 #include "storage/page_store.h"
@@ -159,7 +159,10 @@ TEST(FaultSoakTest, ShardedPartialModeReturnsFlaggedOracleSubsets) {
         DynamicMethod::kGridSweep, DynamicMethod::kBruteForce};
     const DynamicMethod method =
         methods[static_cast<std::size_t>(seed) % 4];
-    const ShardedAreaQuery query(&sharded, method, nullptr, policy);
+    // Degraded mode is a property of the planned query over `sharded`;
+    // the method is forced and the cache is off, so every query executes.
+    const PlannedAreaQuery query(&sharded, nullptr, policy);
+    const PlanHints hints{.force_method = method, .use_cache = false};
     const BruteForceAreaQuery oracle_brute(&oracle);
 
     QueryContext ctx;
@@ -174,7 +177,7 @@ TEST(FaultSoakTest, ShardedPartialModeReturnsFlaggedOracleSubsets) {
       }
       std::sort(truth.begin(), truth.end());
 
-      const std::vector<PointId> got = query.Run(area, ctx);
+      const std::vector<PointId> got = query.RunPlanned(area, ctx, hints);
       EXPECT_TRUE(std::is_sorted(got.begin(), got.end())) << "seed=" << seed;
       EXPECT_TRUE(
           std::includes(truth.begin(), truth.end(), got.begin(), got.end()))

@@ -14,13 +14,12 @@
 #include <gtest/gtest.h>
 
 #include "core/brute_force_area_query.h"
-#include "core/dynamic_area_query.h"
 #include "core/dynamic_point_database.h"
 #include "core/grid_sweep_area_query.h"
 #include "core/point_database.h"
 #include "core/traditional_area_query.h"
 #include "core/voronoi_area_query.h"
-#include "shard/sharded_area_query.h"
+#include "planner/query_plan.h"
 #include "shard/sharded_database.h"
 #include "workload/point_generator.h"
 #include "workload/polygon_generator.h"
@@ -38,6 +37,12 @@ PointDatabase::Options PagedOptions(StorageBackend backend) {
   options.storage.backend = backend;
   options.storage.cache_pages = 8;
   return options;
+}
+
+/// `method` forced through the served planned path. Uncached: the cache
+/// key ignores the method, so a hit would replay another method's answer.
+PlanHints Forced(DynamicMethod method) {
+  return PlanHints{.force_method = method, .use_cache = false};
 }
 
 void ExpectPageInvariant(const QueryStats& s) {
@@ -129,10 +134,9 @@ TEST(StorageDifferentialTest, ShardedPagedMatchesInMemoryOracle) {
       for (const DynamicMethod method :
            {DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
             DynamicMethod::kGridSweep, DynamicMethod::kBruteForce}) {
-        const ShardedAreaQuery query(&sharded, method);
-        EXPECT_EQ(query.Run(area, ctx), truth)
+        EXPECT_EQ(sharded.Query(area, ctx, nullptr, Forced(method)), truth)
             << "backend=" << StorageBackendName(backend)
-            << " method=" << query.Name();
+            << " method=" << MethodName(method);
         // The per-shard page counters must survive the scatter-gather
         // stats merge with the invariant intact.
         ExpectPageInvariant(ctx.stats);
@@ -150,12 +154,9 @@ TEST(StorageDifferentialTest, ChurnOnPagedBackendMatchesRebuild) {
   options.auto_compact = false;
   options.base.storage = PagedOptions(StorageBackend::kMmap).storage;
   DynamicPointDatabase db(GenerateUniformPoints(1500, kUnit, &rng), options);
-  const DynamicAreaQuery methods[] = {
-      DynamicAreaQuery(&db, DynamicMethod::kVoronoi),
-      DynamicAreaQuery(&db, DynamicMethod::kTraditional),
-      DynamicAreaQuery(&db, DynamicMethod::kGridSweep),
-      DynamicAreaQuery(&db, DynamicMethod::kBruteForce),
-  };
+  const DynamicMethod methods[] = {
+      DynamicMethod::kVoronoi, DynamicMethod::kTraditional,
+      DynamicMethod::kGridSweep, DynamicMethod::kBruteForce};
   PolygonSpec spec;
   spec.query_size_fraction = 0.08;
 
@@ -179,9 +180,9 @@ TEST(StorageDifferentialTest, ChurnOnPagedBackendMatchesRebuild) {
       truth.push_back(ids[rebuilt.OriginalId(internal)]);
     }
     std::sort(truth.begin(), truth.end());
-    for (const DynamicAreaQuery& method : methods) {
-      EXPECT_EQ(method.Run(area, ctx), truth)
-          << when << ", method: " << method.Name();
+    for (const DynamicMethod method : methods) {
+      EXPECT_EQ(db.Query(area, ctx, Forced(method)), truth)
+          << when << ", method: " << MethodName(method);
       ExpectPageInvariant(ctx.stats);
     }
   };
