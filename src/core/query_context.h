@@ -10,6 +10,7 @@
 #include "core/query_stats.h"
 #include "geometry/prepared_area.h"
 #include "geometry/simd/polygon_kernel.h"
+#include "index/rtree.h"
 #include "index/spatial_index.h"
 
 namespace vaq {
@@ -122,6 +123,16 @@ class QueryContext {
     candidates_.clear();
     return candidates_;
   }
+
+  /// Leaf runs of the window filter (`RTree::WindowRuns`) over
+  /// `ScratchCandidates`, cleared and ready to fill.
+  std::vector<RTree::LeafRun>& ScratchLeafRuns() {
+    leaf_runs_.clear();
+    return leaf_runs_;
+  }
+
+  /// Index traversal stack (`RTree::WindowRuns` clears it itself).
+  std::vector<std::int32_t>& ScratchNodeStack() { return node_stack_; }
 
   /// Delta-scan scratch of the dynamic-database path (see
   /// `RunDynamicSnapshotQuery`): collects the stable ids of delta-buffer
@@ -267,6 +278,8 @@ class QueryContext {
   std::vector<PointId> queue_;
   std::vector<PointId> candidates_;
   std::vector<PointId> delta_hits_;
+  std::vector<RTree::LeafRun> leaf_runs_;
+  std::vector<std::int32_t> node_stack_;
   IndexStats index_stats_;
   PreparedArea prepared_;
   /// Memo key of `prepared_`: the prepared polygon's vertices (owned

@@ -10,12 +10,15 @@ namespace vaq {
 /// (Fig. 1a): window-query the database's R-tree with MBR(A) to get the
 /// candidate set, then refine each candidate with a point-in-polygon test.
 ///
-/// The refine step runs a batched SoA kernel over the `PreparedArea` built
-/// for the query polygon: candidate coordinates are classified in blocks
-/// against the prepared grid (O(1) per point away from the boundary), and
-/// only points landing in boundary cells pay an exact — but locally
-/// pruned — edge test. Results are identical to naive per-candidate
-/// `Polygon::Contains` validation, at a fraction of the cost.
+/// The refine step works leaf by leaf against the `PreparedArea` built for
+/// the query polygon: each R-tree leaf the filter met is settled whole when
+/// its MBR (clipped to the window) classifies inside or outside, and only
+/// the points of straddling leaves are fetched and run through the batched
+/// SoA kernel (O(1) per point away from the boundary, an exact but locally
+/// pruned edge test in boundary cells). Results are identical to naive
+/// per-candidate `Polygon::Contains` validation, and the stats count every
+/// candidate as validated and fetched, as that validation would (DESIGN.md
+/// §7).
 class TraditionalAreaQuery : public MethodAreaQuery {
  public:
   /// `db` must outlive this object; its R-tree is the filter index.

@@ -98,25 +98,28 @@ void PreparedArea::Prepare(const Polygon& area, int grid_side_hint) {
   const std::size_t cells = static_cast<std::size_t>(nx_) * ny_;
   cell_class_.assign(cells, kCellUnknown);
 
-  // --- Pass 1: rasterise the boundary; count per-cell edge references. ---
+  // --- Pass 1: rasterise the boundary once, recording each (cell, edge)
+  // reference and counting references per cell. ---
   cell_edge_offsets_.assign(cells + 1, 0);
+  edge_refs_.clear();
   for (std::size_t i = 0; i < m; ++i) {
     ForEachEdgeCell(i, [&](std::size_t cell) {
       cell_class_[cell] = kPointBoundary;
       ++cell_edge_offsets_[cell + 1];
+      edge_refs_.push_back({static_cast<std::uint32_t>(cell),
+                            static_cast<std::uint32_t>(i)});
     });
   }
   for (std::size_t c = 0; c < cells; ++c) {
     cell_edge_offsets_[c + 1] += cell_edge_offsets_[c];
   }
   cell_edges_.resize(cell_edge_offsets_[cells]);
-  // Fill via a cursor copy of the offsets (second rasterisation pass).
+  // Fill via a cursor copy of the offsets; references come in edge order,
+  // so each cell lists its edges ascending.
   csr_cursor_.assign(cell_edge_offsets_.begin(),
                      cell_edge_offsets_.end() - 1);
-  for (std::size_t i = 0; i < m; ++i) {
-    ForEachEdgeCell(i, [&](std::size_t cell) {
-      cell_edges_[csr_cursor_[cell]++] = static_cast<std::uint32_t>(i);
-    });
+  for (const EdgeRef& ref : edge_refs_) {
+    cell_edges_[csr_cursor_[ref.cell]++] = ref.edge;
   }
 
   // --- Per-row edge lists (exact containment fallback). No pads needed:
@@ -143,59 +146,63 @@ void PreparedArea::Prepare(const Polygon& area, int grid_side_hint) {
     }
   }
 
-  // --- Pass 2: flood-fill the edge-free cells. The boundary ring only
-  // passes through boundary cells, so each 4-connected component of
-  // edge-free cells has one containment status; one exact test on a
-  // representative cell centre classifies the whole component. ---
-  for (std::size_t start = 0; start < cells; ++start) {
-    if (cell_class_[start] != kCellUnknown) continue;
-    flood_queue_.clear();
-    flood_queue_.push_back(static_cast<std::int32_t>(start));
-    const int scx = static_cast<int>(start % nx_);
-    const int scy = static_cast<int>(start / nx_);
-    const Point rep{bounds_.min.x + (scx + 0.5) * cell_w_,
-                    bounds_.min.y + (scy + 0.5) * cell_h_};
-    const unsigned char cls =
-        ContainsViaRow(rep) ? kPointInside : kPointOutside;
-    cell_class_[start] = cls;
-    while (!flood_queue_.empty()) {
-      const std::int32_t c = flood_queue_.back();
-      flood_queue_.pop_back();
-      const int cx = c % nx_;
-      const int cy = c / nx_;
-      const std::int32_t neighbors[4] = {c - 1, c + 1, c - nx_, c + nx_};
-      const bool valid[4] = {cx > 0, cx + 1 < nx_, cy > 0, cy + 1 < ny_};
-      for (int k = 0; k < 4; ++k) {
-        if (valid[k] && cell_class_[neighbors[k]] == kCellUnknown) {
-          cell_class_[neighbors[k]] = cls;
-          flood_queue_.push_back(neighbors[k]);
+  // --- Pass 2: label the edge-free cells with one scanline sweep, and
+  // build both summed-area tables (for O(1) ClassifyBox) in the same
+  // sweep. The boundary ring only passes through boundary cells, so each
+  // 4-connected component of edge-free cells has one containment status
+  // (DESIGN.md §6). A maximal run of edge-free cells in a row lies in one
+  // such component; it takes its class from any edge-free cell of the
+  // previous row that shares a side with it, hence lies in the same
+  // component. Only a run with none pays one exact test, on its first
+  // cell's centre. Every labelling that is exact per component gives the
+  // same classes. ---
+  const std::size_t w = static_cast<std::size_t>(nx_) + 1;
+  const std::size_t satn = w * (ny_ + 1);
+  inside_sat_.resize(satn);
+  boundary_sat_.resize(satn);
+  std::fill(inside_sat_.begin(), inside_sat_.begin() + w, 0u);
+  std::fill(boundary_sat_.begin(), boundary_sat_.begin() + w, 0u);
+  for (int cy = 0; cy < ny_; ++cy) {
+    unsigned char* row =
+        cell_class_.data() + static_cast<std::size_t>(cy) * nx_;
+    const unsigned char* prev_row = cy > 0 ? row - nx_ : nullptr;
+    for (int cx = 0; cx < nx_;) {
+      if (row[cx] == kPointBoundary) {
+        ++cx;
+        continue;
+      }
+      unsigned char cls = kCellUnknown;
+      int end = cx;
+      for (; end < nx_ && row[end] != kPointBoundary; ++end) {
+        if (prev_row != nullptr && prev_row[end] != kPointBoundary) {
+          cls = prev_row[end];
         }
       }
+      if (cls == kCellUnknown) {
+        const Point rep{bounds_.min.x + (cx + 0.5) * cell_w_,
+                        bounds_.min.y + (cy + 0.5) * cell_h_};
+        cls = ContainsViaRow(rep) ? kPointInside : kPointOutside;
+      }
+      std::fill(row + cx, row + end, cls);
+      cx = end;
     }
-  }
-
-  // --- Summed-area tables over the cell classification for O(1)
-  // ClassifyBox. ---
-  const std::size_t satn = static_cast<std::size_t>(nx_ + 1) * (ny_ + 1);
-  inside_sat_.assign(satn, 0);
-  boundary_sat_.assign(satn, 0);
-  boundary_cells_ = inside_cells_ = 0;
-  for (int cy = 0; cy < ny_; ++cy) {
+    // Summed-area rows: the previous row's sums plus this row's running
+    // sums.
+    const std::size_t prev = static_cast<std::size_t>(cy) * w;
+    const std::size_t cur = prev + w;
+    inside_sat_[cur] = boundary_sat_[cur] = 0;
+    std::uint32_t inside_run = 0;
+    std::uint32_t boundary_run = 0;
     for (int cx = 0; cx < nx_; ++cx) {
-      const unsigned char cls =
-          cell_class_[static_cast<std::size_t>(cy) * nx_ + cx];
-      const std::uint32_t inside = cls == kPointInside ? 1 : 0;
-      const std::uint32_t boundary = cls == kPointBoundary ? 1 : 0;
-      inside_cells_ += inside;
-      boundary_cells_ += boundary;
-      const std::size_t w = nx_ + 1;
-      const std::size_t at = static_cast<std::size_t>(cy + 1) * w + cx + 1;
-      inside_sat_[at] = inside + inside_sat_[at - 1] + inside_sat_[at - w] -
-                        inside_sat_[at - w - 1];
-      boundary_sat_[at] = boundary + boundary_sat_[at - 1] +
-                          boundary_sat_[at - w] - boundary_sat_[at - w - 1];
+      inside_run += row[cx] == kPointInside;
+      boundary_run += row[cx] == kPointBoundary;
+      inside_sat_[cur + cx + 1] = inside_sat_[prev + cx + 1] + inside_run;
+      boundary_sat_[cur + cx + 1] =
+          boundary_sat_[prev + cx + 1] + boundary_run;
     }
   }
+  inside_cells_ = inside_sat_[satn - 1];
+  boundary_cells_ = boundary_sat_[satn - 1];
 }
 
 bool PreparedArea::ContainsViaRow(const Point& p) const {

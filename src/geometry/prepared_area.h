@@ -256,9 +256,14 @@ class PreparedArea {
   /// (nx+1) x (ny+1), for O(1) ClassifyBox.
   std::vector<std::uint32_t> inside_sat_;
   std::vector<std::uint32_t> boundary_sat_;
-  /// Build scratch (flood-fill queue, CSR fill cursors), reused across
-  /// Prepare calls so steady-state rebuilds allocate nothing.
-  std::vector<std::int32_t> flood_queue_;
+  /// Build scratch (the rasterised (cell, edge) references, CSR fill
+  /// cursors), reused across Prepare calls so steady-state rebuilds
+  /// allocate nothing.
+  struct EdgeRef {
+    std::uint32_t cell;
+    std::uint32_t edge;
+  };
+  std::vector<EdgeRef> edge_refs_;
   std::vector<std::uint32_t> csr_cursor_;
 };
 

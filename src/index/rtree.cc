@@ -305,32 +305,47 @@ void RTree::Insert(const Point& p, PointId id) {
 
 void RTree::WindowQuery(const Box& window, std::vector<PointId>* out,
                         IndexStats* stats) const {
+  std::vector<std::int32_t> stack;
+  WindowRuns(window, out, nullptr, &stack, stats);
+}
+
+void RTree::WindowRuns(const Box& window, std::vector<PointId>* out,
+                       std::vector<LeafRun>* runs,
+                       std::vector<std::int32_t>* stack,
+                       IndexStats* stats) const {
+  stack->clear();
   if (root_ < 0) return;
-  std::vector<std::int32_t> stack{root_};
-  while (!stack.empty()) {
-    const std::int32_t node_id = stack.back();
-    stack.pop_back();
+  stack->push_back(root_);
+  while (!stack->empty()) {
+    const std::int32_t node_id = stack->back();
+    stack->pop_back();
     if (stats != nullptr) ++stats->node_accesses;
     const Node& node = nodes_[node_id];
-    if (node.leaf) {
-      if (window.Contains(node.bounds)) {
-        // Leaf fully covered: report every entry without per-point tests.
-        for (const Entry& e : node.entries) {
-          out->push_back(static_cast<PointId>(e.id));
-        }
-        if (stats != nullptr) stats->entries_reported += node.entries.size();
-        continue;
-      }
+    if (!node.leaf) {
       for (const Entry& e : node.entries) {
-        if (window.Contains(e.box.min)) {
-          out->push_back(static_cast<PointId>(e.id));
-          if (stats != nullptr) ++stats->entries_reported;
-        }
+        if (window.Intersects(e.box)) stack->push_back(e.id);
+      }
+      continue;
+    }
+    const std::size_t begin = out->size();
+    if (window.Contains(node.bounds)) {
+      // Leaf fully covered: report every entry without per-point tests.
+      for (const Entry& e : node.entries) {
+        out->push_back(static_cast<PointId>(e.id));
       }
     } else {
       for (const Entry& e : node.entries) {
-        if (window.Intersects(e.box)) stack.push_back(e.id);
+        if (window.Contains(e.box.min)) {
+          out->push_back(static_cast<PointId>(e.id));
+        }
       }
+    }
+    const std::size_t end = out->size();
+    if (stats != nullptr) stats->entries_reported += end - begin;
+    if (runs != nullptr && end > begin) {
+      runs->push_back(LeafRun{static_cast<std::uint32_t>(begin),
+                              static_cast<std::uint32_t>(end),
+                              Box::Intersection(node.bounds, window)});
     }
   }
 }

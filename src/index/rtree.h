@@ -9,7 +9,7 @@
 namespace vaq {
 
 /// R-tree over points (Guttman 1984), the index both the paper's methods
-/// build on: the traditional area query issues `WindowQuery(MBR(A))` against
+/// build on: the traditional area query issues `WindowRuns(MBR(A))` against
 /// it, and the Voronoi-based method issues a single `NearestNeighbor` call
 /// to find its seed.
 ///
@@ -41,8 +41,28 @@ class RTree : public SpatialIndex {
   /// MBRs are, never the result of any query.
   void Build(const std::vector<Point>& points) override;
   std::size_t size() const override { return count_; }
+  /// `WindowRuns` with no runs and a stack of its own.
   void WindowQuery(const Box& window, std::vector<PointId>* out,
                    IndexStats* stats = nullptr) const override;
+
+  /// The points of one leaf that a window traversal reported: ids
+  /// `(*out)[begin, end)`, all of which lie in `box`, the leaf's MBR
+  /// clipped to the window.
+  struct LeafRun {
+    std::uint32_t begin;
+    std::uint32_t end;
+    Box box;
+  };
+
+  /// The window traversal: appends the ids of all points inside `window`
+  /// (borders inclusive) to `out`, leaf by leaf, and, when `runs` is
+  /// non-null, one `LeafRun` per leaf that reported at least one point.
+  /// The runs tile the appended range in order. `stack` is the caller's
+  /// traversal scratch (cleared on entry), so a caller that keeps it
+  /// allocates nothing per call.
+  void WindowRuns(const Box& window, std::vector<PointId>* out,
+                  std::vector<LeafRun>* runs, std::vector<std::int32_t>* stack,
+                  IndexStats* stats = nullptr) const;
   PointId NearestNeighbor(const Point& q,
                           IndexStats* stats = nullptr) const override;
   void KNearestNeighbors(const Point& q, std::size_t k,

@@ -38,8 +38,9 @@ struct IndexStats {
 /// Abstract interface shared by every point index in `src/index/`.
 ///
 /// The paper's two area-query implementations consume exactly two
-/// operations, always on the database's `RTree`: `WindowQuery` (the
-/// traditional filter) and `NearestNeighbor` (the Voronoi method's seed
+/// operations, always on the database's `RTree`: the window query (the
+/// traditional filter, through `RTree::WindowRuns`, which also reports
+/// the leaves it met) and `NearestNeighbor` (the Voronoi method's seed
 /// lookup). The other indexes and operations round out the library and
 /// power the index micro-benchmarks.
 ///

@@ -10,11 +10,11 @@ double CostModel::ExpectedCandidates(DynamicMethod m,
   const double n = static_cast<double>(f.n);
   switch (m) {
     case DynamicMethod::kVoronoi: {
-      // The flood visits the interior plus a perimeter shell of rejected
-      // neighbours; on uniform data the shell scales with the boundary
-      // length, i.e. with sqrt(interior).
-      const double interior = n * f.poly_share;
-      return interior + shell_coeff * std::sqrt(std::max(0.0, interior));
+      // The flood visits the interior plus a shell of rejected neighbours
+      // along the ring: on uniform data, about one per Voronoi cell the
+      // ring crosses, perimeter * sqrt(n / domain area) of them.
+      return n * f.poly_share +
+             shell_coeff * f.perimeter_sides * std::sqrt(n);
     }
     case DynamicMethod::kTraditional:
     case DynamicMethod::kGridSweep:

@@ -23,6 +23,11 @@ struct PlanFeatures {
   /// flood's result-size proxy: it visits ~ n * poly_share interior
   /// points plus a boundary shell.
   double poly_share = 0.0;
+  /// Ring perimeter / sqrt(database-bounds area): the boundary's length in
+  /// domain sides. On uniform data the ring crosses about
+  /// perimeter_sides * sqrt(n) Voronoi cells, which sizes the flood's
+  /// boundary shell.
+  double perimeter_sides = 0.0;
   /// Simulated object-fetch latency per geometry load
   /// (`PointDatabase::simulated_fetch_ns`); the paper's disk-resident
   /// cost knob. 0 on raw in-memory timing.
@@ -44,27 +49,35 @@ struct PlanFeatures {
 /// set — and the planner's EWMA layer multiplies it per
 /// (method, selectivity-bucket) as live observations arrive.
 struct CostModel {
-  /// Per-candidate CPU cost (ns), indexed by `DynamicMethod`. Fit note:
-  /// measured per-candidate cost falls with candidate count (bulk accept
-  /// covers more interior as selectivity grows: ~57 -> ~14 ns for
-  /// traditional from 1% to 32% queries); the seed takes the mid-range
-  /// and lets the bucketed EWMA absorb the slope. Brute force tests every
-  /// point, and points inside the query MBR pay the exact edge test, so
-  /// its per-point cost rises with selectivity: ~4 / 17 / 31 ns at 1% /
-  /// 32% / 64% stars over 10^5 points (`BruteForceAreaQuery`, Release,
-  /// GCC 12, one pinned Xeon core), 2-5x traditional's time throughout.
-  /// The seed is the 64% figure, at least traditional's, so beyond a few
-  /// thousand points the seed never ranks brute first. (Seeded at the 1%
-  /// figure, a fresh 10^5-point database planned brute for every 32% star
-  /// until the EWMAs learned it away.)
-  double cpu_ns[kNumDynamicMethods] = {62.0, 30.0, 36.0, 31.0};
+  /// Per-candidate CPU cost (ns), indexed by `DynamicMethod`. Measured
+  /// per-candidate cost falls with candidate count, as fixed costs
+  /// amortise and (traditional) more R-tree leaves settle whole against
+  /// the prepared grid: the traditional method runs ~95 / 30 / 13.6 /
+  /// 9.3 / 8.4 ns per candidate at 0.1% / 1% / 8% / 32% / 64% stars over
+  /// 10^5 uniform points (`TraditionalAreaQuery::Run`, Release, GCC 12,
+  /// one pinned Xeon core, best of five runs per polygon). Its seed
+  /// takes 12 ns and its fixed cost 12 us, which puts 1% / 8% / 32% /
+  /// 64% stars at 24 / 108 / 398 / 780 us against 30 / 109 / 299 / 537
+  /// us measured; the bucketed EWMA absorbs the rest of the slope. Brute
+  /// force tests every point, and points inside the query MBR pay the
+  /// exact edge test, so its per-point cost rises with selectivity: ~4 /
+  /// 17 / 31 ns at 1% / 32% / 64% stars over 10^5 points
+  /// (`BruteForceAreaQuery`, same host), 2-5x traditional's time
+  /// throughout. The seed is the 64% figure, above traditional's, so
+  /// beyond a few thousand points the seed never ranks brute first.
+  /// (Seeded at the 1% figure, a fresh 10^5-point database planned brute
+  /// for every 32% star until the EWMAs learned it away.)
+  double cpu_ns[kNumDynamicMethods] = {62.0, 12.0, 36.0, 31.0};
   /// Per-query fixed overhead (ns): index descent / flood seeding /
   /// prepared-grid build amortisation.
-  double fixed_ns[kNumDynamicMethods] = {12000.0, 6000.0, 8000.0, 1500.0};
-  /// Voronoi boundary shell: visited-but-rejected points scale with the
-  /// result perimeter, ~ shell_coeff * sqrt(results) on uniform data
-  /// (measured ~4.7 across the baseline rows).
-  double shell_coeff = 4.7;
+  double fixed_ns[kNumDynamicMethods] = {12000.0, 12000.0, 8000.0, 1500.0};
+  /// Voronoi boundary shell: visited-but-rejected points per Voronoi cell
+  /// the ring crosses, ~ shell_coeff * perimeter_sides * sqrt(n) on
+  /// uniform data. Measured 1.07-1.09 on 10^5 uniform points for stars of
+  /// 1-64% MBR share (radius floors 0.35 and 0.1) and for combs. A shell
+  /// sized from sqrt(interior) instead reads 0.85x of the measured one on
+  /// the thin stars and 0.28x on the combs.
+  double shell_coeff = 1.08;
   /// Effective extra per-load cost (ns) on paged backends when no
   /// explicit `io_ns_per_load` is configured: an amortised page-cache
   /// probe (hits dominate after warm-up; misses are rare but expensive).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "core/brute_force_area_query.h"
@@ -16,17 +17,20 @@ namespace vaq {
 
 namespace {
 
-/// MBR/area shares of the polygon against the database bounds. A
-/// degenerate domain (empty database, zero-area bounds) reports full
-/// shares — n is tiny there and every method costs its fixed overhead.
+/// MBR/area shares and the perimeter of the polygon against the database
+/// bounds. A degenerate domain (empty database, zero-area bounds) reports
+/// full shares and no perimeter — n is tiny there and every method costs
+/// its fixed overhead.
 void FillShares(const Polygon& area, const Box& domain, PlanFeatures& f) {
   const double domain_area = domain.Area();
   if (domain_area > 0.0) {
     f.mbr_share = std::min(1.0, area.Bounds().Area() / domain_area);
     f.poly_share = std::min(1.0, area.Area() / domain_area);
+    f.perimeter_sides = area.Perimeter() / std::sqrt(domain_area);
   } else {
     f.mbr_share = 1.0;
     f.poly_share = 1.0;
+    f.perimeter_sides = 0.0;
   }
 }
 

@@ -74,4 +74,29 @@ Polygon GenerateCombPolygon(const Box& bounds, int teeth) {
   return Polygon(std::move(ring));
 }
 
+Polygon GenerateUPolygon(const Box& bounds, double thickness,
+                         bool opening_down) {
+  const double x0 = bounds.min.x, x1 = bounds.max.x;
+  const double y0 = bounds.min.y, y1 = bounds.max.y;
+  const double t = thickness;
+  if (opening_down) {
+    return Polygon({{x0, y0},
+                    {x0 + t, y0},
+                    {x0 + t, y1 - t},
+                    {x1 - t, y1 - t},
+                    {x1 - t, y0},
+                    {x1, y0},
+                    {x1, y1},
+                    {x0, y1}});
+  }
+  return Polygon({{x0, y0},
+                  {x1, y0},
+                  {x1, y1},
+                  {x1 - t, y1},
+                  {x1 - t, y0 + t},
+                  {x0 + t, y0 + t},
+                  {x0 + t, y1},
+                  {x0, y1}});
+}
+
 }  // namespace vaq

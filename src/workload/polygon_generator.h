@@ -36,6 +36,12 @@ Polygon GenerateQueryPolygon(const PolygonSpec& spec, const Box& domain,
 /// segment-expansion rule (see VoronoiAreaQuery::ExpansionRule).
 Polygon GenerateCombPolygon(const Box& bounds, int teeth);
 
+/// A U filling `bounds`, with legs and bar `thickness` wide. Opening down,
+/// its legs meet only at the bar along the top; opening up, the notch
+/// between its legs is outside and reaches the top edge.
+Polygon GenerateUPolygon(const Box& bounds, double thickness,
+                         bool opening_down);
+
 }  // namespace vaq
 
 #endif  // VAQ_WORKLOAD_POLYGON_GENERATOR_H_

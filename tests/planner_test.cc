@@ -20,6 +20,7 @@ PlanFeatures MemoryFeatures() {
   f.n = 100000;
   f.mbr_share = 0.1;
   f.poly_share = 0.08;
+  f.perimeter_sides = 1.0;
   f.io_ns_per_load = 0.0;
   f.paged = false;
   return f;
@@ -98,6 +99,27 @@ TEST(QueryPlannerTest, SeedModelPicksNoBruteForLargeStarsOnFreshDatabase) {
       const Polygon area = GenerateQueryPolygon(spec, unit, &rng);
       EXPECT_NE(db.PlannedQuery()->PlanFor(area).method,
                 DynamicMethod::kBruteForce)
+          << "size " << size << ", polygon " << i;
+    }
+  }
+}
+
+TEST(QueryPlannerTest, SeedModelPicksNoVoronoiForThinStarsOnFreshDatabase) {
+  // In memory the flood costs ~5x the window filter per candidate, so it
+  // can only win when it visits far fewer points. Stars with a deep radius
+  // floor fill little of their MBR, and the flood's shell follows their
+  // long ring, so neither side of the estimate may flatter the flood.
+  const Box unit{{0.0, 0.0}, {1.0, 1.0}};
+  Rng rng(1);
+  const DynamicPointDatabase db(GenerateUniformPoints(100000, unit, &rng));
+  for (const double size : {0.32, 0.50, 0.64}) {
+    PolygonSpec spec;
+    spec.query_size_fraction = size;
+    spec.min_radius_fraction = 0.1;
+    for (int i = 0; i < 50; ++i) {
+      const Polygon area = GenerateQueryPolygon(spec, unit, &rng);
+      EXPECT_NE(db.PlannedQuery()->PlanFor(area).method,
+                DynamicMethod::kVoronoi)
           << "size " << size << ", polygon " << i;
     }
   }
@@ -269,9 +291,10 @@ TEST(CostModelTest, CandidateEstimatesMatchTheClosedForms) {
                    static_cast<double>(f.n) * f.mbr_share);
   EXPECT_DOUBLE_EQ(model.ExpectedCandidates(DynamicMethod::kBruteForce, f),
                    static_cast<double>(f.n));
-  const double interior = static_cast<double>(f.n) * f.poly_share;
-  EXPECT_DOUBLE_EQ(model.ExpectedCandidates(DynamicMethod::kVoronoi, f),
-                   interior + model.shell_coeff * std::sqrt(interior));
+  const double n = static_cast<double>(f.n);
+  EXPECT_DOUBLE_EQ(
+      model.ExpectedCandidates(DynamicMethod::kVoronoi, f),
+      n * f.poly_share + model.shell_coeff * f.perimeter_sides * std::sqrt(n));
 }
 
 TEST(CostModelTest, IoPerLoadReflectsBackendConfiguration) {

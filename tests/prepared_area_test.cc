@@ -3,10 +3,12 @@
 // methods on every input — including points exactly on edges and vertices
 // (exact-predicate tie cases) — across thousands of random star-convex and
 // adversarially concave polygons. `ClassifyBox` is conservative, so its
-// definite answers are checked against exact box predicates instead.
+// definite answers are checked against exact box predicates instead. The
+// scanline cell labelling is checked against a reference flood fill.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "geometry/polygon.h"
@@ -219,6 +221,141 @@ TEST(PreparedAreaTest, ReuseAcrossPolygons) {
     reused.Prepare(poly);
     ExpectAgreement(poly, reused, &rng, 16, "reused");
   }
+}
+
+/// Reference labelling: the 4-connected flood fill over the edge-free
+/// cells that `Prepare` used before the scanline sweep, one exact test per
+/// component. Boundary cells are taken from `prep`, whose labelling never
+/// changes them.
+std::vector<unsigned char> FloodFillClasses(const Polygon& poly,
+                                            const PreparedArea& prep) {
+  const int nx = prep.grid_nx();
+  const int ny = prep.grid_ny();
+  const Box& b = prep.bounds();
+  const double cw = b.Width() / nx;
+  const double ch = b.Height() / ny;
+  constexpr unsigned char kUnknown = 3;
+  std::vector<unsigned char> cls(prep.cell_class_data(),
+                                 prep.cell_class_data() + nx * ny);
+  for (unsigned char& c : cls) {
+    if (c != PreparedArea::kPointBoundary) c = kUnknown;
+  }
+  std::vector<int> stack;
+  for (int start = 0; start < nx * ny; ++start) {
+    if (cls[start] != kUnknown) continue;
+    const Point rep{b.min.x + (start % nx + 0.5) * cw,
+                    b.min.y + (start / nx + 0.5) * ch};
+    const unsigned char label = poly.Contains(rep)
+                                    ? PreparedArea::kPointInside
+                                    : PreparedArea::kPointOutside;
+    cls[start] = label;
+    stack.assign(1, start);
+    while (!stack.empty()) {
+      const int c = stack.back();
+      stack.pop_back();
+      const int cx = c % nx;
+      const int cy = c / nx;
+      const int neighbors[4] = {c - 1, c + 1, c - nx, c + nx};
+      const bool valid[4] = {cx > 0, cx + 1 < nx, cy > 0, cy + 1 < ny};
+      for (int k = 0; k < 4; ++k) {
+        if (valid[k] && cls[neighbors[k]] == kUnknown) {
+          cls[neighbors[k]] = label;
+          stack.push_back(neighbors[k]);
+        }
+      }
+    }
+  }
+  return cls;
+}
+
+void ExpectLabellingMatchesFloodFill(const Polygon& poly, const char* label) {
+  for (const int side : {4, 5, 7, 8, 16, 31, 37, 58, 64, 100, 128, 192}) {
+    PreparedArea prep;
+    prep.Prepare(poly, side);
+    ASSERT_TRUE(prep.prepared()) << label;
+    const std::vector<unsigned char> want = FloodFillClasses(poly, prep);
+    const unsigned char* got = prep.cell_class_data();
+    std::size_t inside = 0;
+    std::size_t boundary = 0;
+    for (std::size_t c = 0; c < want.size(); ++c) {
+      ASSERT_EQ(got[c], want[c])
+          << label << " side " << side << " cell " << c;
+      inside += want[c] == PreparedArea::kPointInside;
+      boundary += want[c] == PreparedArea::kPointBoundary;
+    }
+    EXPECT_EQ(prep.inside_cell_count(), inside) << label << " side " << side;
+    EXPECT_EQ(prep.boundary_cell_count(), boundary)
+        << label << " side " << side;
+  }
+}
+
+/// An Archimedean spiral strip of `turns` turns: one edge-free component
+/// winds around itself, and its outside does too.
+Polygon SpiralPolygon(double turns) {
+  const int steps = static_cast<int>(turns * 48);
+  const double pitch = 0.4 / turns;  // Radius gain per turn.
+  const double width = 0.45 * pitch;
+  std::vector<Point> outer, inner;
+  for (int i = 0; i <= steps; ++i) {
+    const double t = 2.0 * M_PI * turns * i / steps;
+    const double r = 0.05 + pitch * t / (2.0 * M_PI);
+    outer.push_back({0.5 + (r + width) * std::cos(t),
+                     0.5 + (r + width) * std::sin(t)});
+    inner.push_back({0.5 + r * std::cos(t), 0.5 + r * std::sin(t)});
+  }
+  std::vector<Point> ring(outer.begin(), outer.end());
+  ring.insert(ring.end(), inner.rbegin(), inner.rend());
+  return Polygon(std::move(ring));
+}
+
+TEST(PreparedAreaTest, ScanlineLabellingMatchesFloodFill) {
+  Rng rng(31337);
+  PolygonSpec spec;
+  for (int rep = 0; rep < 40; ++rep) {
+    spec.vertices = 3 + rng.UniformInt(0, 40);
+    spec.query_size_fraction = rng.Uniform(0.01, 0.64);
+    spec.min_radius_fraction = rng.Uniform(0.05, 0.6);
+    ExpectLabellingMatchesFloodFill(GenerateQueryPolygon(spec, kUnit, &rng),
+                                    "star");
+  }
+  for (const double turns : {1.5, 3.0, 5.0}) {
+    ExpectLabellingMatchesFloodFill(SpiralPolygon(turns), "spiral");
+  }
+  for (const int teeth : {2, 5, 12, 24}) {
+    ExpectLabellingMatchesFloodFill(
+        GenerateCombPolygon(Box{{0.125, 0.25}, {0.875, 0.75}}, teeth),
+        "comb");
+  }
+  for (const bool down : {true, false}) {
+    ExpectLabellingMatchesFloodFill(
+        GenerateUPolygon(Box{{0.1, 0.2}, {0.9, 0.7}}, 0.1, down), "U");
+    ExpectLabellingMatchesFloodFill(
+        GenerateUPolygon(Box{{0.0, 0.0}, {1.0, 1.0}}, 0.02, down), "thin U");
+  }
+}
+
+TEST(PreparedAreaTest, ScanlineLabellingWithVerticesOnCellLines) {
+  // Every vertex on a multiple of 1/16 of the unit MBR, so at sides 4, 8
+  // and 16 (and 32, 64, 128) vertices and axis-parallel edges lie exactly
+  // on cell lines, where the rasteriser's pads decide the boundary band.
+  const Polygon stairs({{0.0, 0.0},
+                        {1.0, 0.0},
+                        {1.0, 0.25},
+                        {0.75, 0.25},
+                        {0.75, 0.5},
+                        {0.5, 0.5},
+                        {0.5, 0.75},
+                        {0.25, 0.75},
+                        {0.25, 1.0},
+                        {0.0, 1.0}});
+  ExpectLabellingMatchesFloodFill(stairs, "stairs");
+  const Polygon diamond(
+      {{0.5, 0.0}, {1.0, 0.5}, {0.5, 1.0}, {0.0, 0.5}});
+  ExpectLabellingMatchesFloodFill(diamond, "diamond");
+  ExpectLabellingMatchesFloodFill(
+      GenerateCombPolygon(Box{{0.0, 0.0}, {1.0, 1.0}}, 4), "lattice comb");
+  ExpectLabellingMatchesFloodFill(
+      GenerateUPolygon(Box{{0.0, 0.0}, {1.0, 1.0}}, 0.25, true), "lattice U");
 }
 
 }  // namespace

@@ -108,6 +108,40 @@ TEST(RTreeTest, WindowQueryMatchesBruteForce) {
   }
 }
 
+TEST(RTreeTest, WindowRunsTileTheOutputLeafByLeaf) {
+  // The runs cover the appended ids in order, without gaps, and each
+  // run's clipped box holds its points and lies inside the window.
+  const auto points = RandomPoints(5000, 7);
+  RTree tree;
+  tree.Build(points);
+  std::mt19937_64 rng(8);
+  std::uniform_real_distribution<double> dist(0.0, 1.0);
+  std::vector<std::int32_t> stack;
+  for (int q = 0; q < 50; ++q) {
+    const double x0 = dist(rng), y0 = dist(rng);
+    const Box window =
+        Box::FromExtents(x0, y0, x0 + dist(rng) * 0.3, y0 + dist(rng) * 0.3);
+    std::vector<PointId> got{kInvalidPointId};  // Runs index past it.
+    std::vector<RTree::LeafRun> runs;
+    tree.WindowRuns(window, &got, &runs, &stack);
+    std::uint32_t at = 1;
+    for (const RTree::LeafRun& run : runs) {
+      ASSERT_EQ(run.begin, at);
+      ASSERT_LT(run.begin, run.end);
+      EXPECT_TRUE(window.Contains(run.box));
+      for (std::uint32_t k = run.begin; k < run.end; ++k) {
+        EXPECT_TRUE(run.box.Contains(points[got[k]]));
+      }
+      at = run.end;
+    }
+    EXPECT_EQ(at, got.size());
+    std::vector<PointId> plain;
+    tree.WindowQuery(window, &plain);
+    EXPECT_TRUE(std::equal(plain.begin(), plain.end(), got.begin() + 1,
+                           got.end()));
+  }
+}
+
 TEST(RTreeTest, NearestNeighborMatchesBruteForce) {
   const auto points = RandomPoints(3000, 7);
   RTree tree;
