@@ -2,12 +2,19 @@
 // WKT encode, loopback TCP, frame parse, engine submission, planned
 // execution, id streaming — versus concurrent client count.
 //
-// Two cells per client count:
+// Three cells per client count:
 //  * uncached: distinct-per-round polygons with use_cache=false, so every
 //    query executes its planned method — the steady-state cost of a
 //    cache-hostile workload;
+//  * direct: the uncached cell's polygons and thread counts, but each
+//    thread calls `DynamicPointDatabase::Query` in-process with the cache
+//    off — no wire, no engine. The printed wire/direct qps ratio is what
+//    the network front door costs on top of the query itself;
 //  * cached: one fixed polygon warmed past second-hit admission, so every
 //    timed query is a result-cache hit — the protocol + dispatch floor.
+//
+// Every row carries the host it ran on (online CPUs, CPU model, compiler),
+// so a committed figure is never compared across machines unawares.
 //
 // Every polygon's networked answer is differentially checked against the
 // in-process planned query before timing (the `mismatches` column; CI
@@ -18,17 +25,20 @@
 //   to the full run so JSON rows key-match the committed baseline.
 //   --json: write rows to BENCH_server.json in the working directory.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/dynamic_point_database.h"
+#include "engine/query_engine.h"
 #include "geometry/wkt.h"
 #include "server/client.h"
 #include "server/query_server.h"
@@ -44,10 +54,37 @@ constexpr std::size_t kDataSize = 50000;
 constexpr double kQuerySizeFraction = 0.01;
 constexpr Box kUnit = Box{{0.0, 0.0}, {1.0, 1.0}};
 
+struct Host {
+  unsigned nproc = 0;
+  std::string cpu = "unknown";
+  std::string compiler;
+};
+
+Host DescribeHost() {
+  Host h;
+  h.nproc = std::thread::hardware_concurrency();
+  std::ifstream info("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(info, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      h.cpu = line.substr(line.find(':') + 2);
+      break;
+    }
+  }
+#if defined(__clang__)
+  h.compiler = "Clang " __clang_version__;
+#elif defined(__GNUC__)
+  h.compiler = "GCC " __VERSION__;
+#else
+  h.compiler = "unknown";
+#endif
+  return h;
+}
+
 struct Row {
   int clients = 0;
-  bool cached = false;
-  int reps = 0;  // Queries per client.
+  std::string cell;  // "uncached", "direct" or "cached".
+  int reps = 0;      // Queries per client.
   std::uint64_t mismatches = 0;
   std::uint64_t errors = 0;
   std::uint64_t shed = 0;
@@ -62,7 +99,7 @@ Row RunCell(QueryServer& server, const std::vector<std::string>& wkts,
             bool cached, int clients, int reps) {
   Row row;
   row.clients = clients;
-  row.cached = cached;
+  row.cell = cached ? "cached" : "uncached";
   row.reps = reps;
 
   const QueryServer::Counters before = server.counters();
@@ -101,14 +138,61 @@ Row RunCell(QueryServer& server, const std::vector<std::string>& wkts,
   return row;
 }
 
-void WriteJson(const std::vector<Row>& rows, std::ostream& out) {
+/// The direct cell: the uncached cell's polygons and thread counts, each
+/// thread querying the database in-process with the cache off.
+Row RunDirectCell(const DynamicPointDatabase& db,
+                  const std::vector<Polygon>& areas, int clients, int reps) {
+  Row row;
+  row.clients = clients;
+  row.cell = "direct";
+  row.reps = reps;
+  std::vector<std::vector<double>> latencies(clients);
+  std::vector<std::thread> threads;
+  const auto start = std::chrono::steady_clock::now();
+  for (int t = 0; t < clients; ++t) {
+    threads.emplace_back([&, t] {
+      QueryContext ctx;
+      PlanHints uncached;
+      uncached.use_cache = false;
+      latencies[t].reserve(reps);
+      for (int i = 0; i < reps; ++i) {
+        const auto t0 = std::chrono::steady_clock::now();
+        db.Query(areas[(t + i) % areas.size()], ctx, uncached);
+        latencies[t].push_back(std::chrono::duration<double, std::milli>(
+                                   std::chrono::steady_clock::now() - t0)
+                                   .count());
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const auto end = std::chrono::steady_clock::now();
+
+  row.wall_ms =
+      std::chrono::duration<double, std::milli>(end - start).count();
+  row.qps = static_cast<double>(clients) * reps / (row.wall_ms / 1000.0);
+  std::vector<double> all;
+  for (const std::vector<double>& l : latencies) {
+    all.insert(all.end(), l.begin(), l.end());
+  }
+  std::sort(all.begin(), all.end());
+  row.latency_p50_ms = NearestRankPercentile(all, 0.50);
+  row.latency_p95_ms = NearestRankPercentile(all, 0.95);
+  row.latency_p99_ms = NearestRankPercentile(all, 0.99);
+  return row;
+}
+
+void WriteJson(const std::vector<Row>& rows, const Host& host,
+               std::ostream& out) {
   out << "[\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     out << " {\n"
         << "  \"bench\": \"server\",\n"
-        << "  \"cell\": \"" << (r.cached ? "cached" : "uncached") << "\",\n"
+        << "  \"cell\": \"" << r.cell << "\",\n"
         << "  \"clients\": " << r.clients << ",\n"
+        << "  \"nproc\": " << host.nproc << ",\n"
+        << "  \"cpu\": \"" << host.cpu << "\",\n"
+        << "  \"compiler\": \"" << host.compiler << "\",\n"
         << "  \"data_size\": " << kDataSize << ",\n"
         << "  \"query_size_fraction\": " << kQuerySizeFraction << ",\n"
         << "  \"reps\": " << r.reps << ",\n"
@@ -177,23 +261,37 @@ int main(int argc, char** argv) {
   }
 
   const int reps = quick ? 100 : 400;
+  const Host host = DescribeHost();
   std::vector<Row> rows;
   std::cout << "=== Server QPS over loopback (" << kDataSize
             << " points, q=" << kQuerySizeFraction << ") ===\n";
+  std::cout << "host: " << host.nproc << " CPUs, " << host.cpu << ", "
+            << host.compiler << "\n";
   std::cout << "cell      clients  reps    qps        p50_ms    p99_ms\n";
-  for (const bool cached : {false, true}) {
-    for (const int clients : {1, 4, 8}) {
-      Row row = RunCell(server, wkts, cached, clients, reps);
-      row.mismatches = mismatches;
-      rows.push_back(row);
-      std::cout << std::left << std::setw(10)
-                << (cached ? "cached" : "uncached") << std::setw(9)
-                << clients << std::setw(8) << reps << std::setw(11)
-                << std::fixed << std::setprecision(0) << row.qps
-                << std::setw(10) << std::setprecision(4)
-                << row.latency_p50_ms << std::setprecision(4)
-                << row.latency_p99_ms << "\n";
-    }
+  constexpr int kClientCounts[] = {1, 4, 8};
+  const auto add = [&](Row row) {
+    row.mismatches = mismatches;
+    rows.push_back(row);
+    std::cout << std::left << std::setw(10) << row.cell << std::setw(9)
+              << row.clients << std::setw(8) << row.reps << std::setw(11)
+              << std::fixed << std::setprecision(0) << row.qps
+              << std::setw(10) << std::setprecision(4) << row.latency_p50_ms
+              << std::setprecision(4) << row.latency_p99_ms << "\n";
+  };
+  for (const int clients : kClientCounts) {
+    add(RunCell(server, wkts, /*cached=*/false, clients, reps));
+  }
+  for (const int clients : kClientCounts) {
+    add(RunDirectCell(db, areas, clients, reps));
+  }
+  for (const int clients : kClientCounts) {
+    add(RunCell(server, wkts, /*cached=*/true, clients, reps));
+  }
+  // Rows 0-2 are the uncached wire cells, rows 3-5 the direct ones.
+  for (std::size_t i = 0; i < std::size(kClientCounts); ++i) {
+    std::cout << "wire/direct qps ratio at " << rows[i].clients
+              << " client(s): " << std::setprecision(3)
+              << rows[i].qps / rows[i + 3].qps << "\n";
   }
 
   server.Stop();
@@ -205,7 +303,7 @@ int main(int argc, char** argv) {
   }
   if (json) {
     std::ofstream out("BENCH_server.json");
-    WriteJson(rows, out);
+    WriteJson(rows, host, out);
     std::cout << "\nwrote BENCH_server.json (" << rows.size() << " rows)\n";
   }
   return 0;

@@ -14,10 +14,10 @@ namespace vaq {
 /// condition variables. Simple by design. The hop through it is not free:
 /// handing a task to a parked worker and waking the submitter costs a few
 /// µs (a traced served replay measured a 6.5 µs queue-wait p50 against
-/// 0.5 µs of work for a result-cache hit, which is why hits skip the queue;
-/// DESIGN.md §3). Next to an executed query (100 µs and up) that is small,
-/// and the cost is the parking and wake-up, not the lock, so a lock-free
-/// ring would not remove it.
+/// 0.5 µs of work for a result-cache hit, which is why hits skip the queue,
+/// and why `QueryEngine::Run` skips it while an execution slot is free;
+/// DESIGN.md §3). The cost is the parking and wake-up, not the lock, so a
+/// lock-free ring would not remove it.
 ///
 /// The bound provides backpressure: producers block in `Push` when
 /// consumers fall behind, so an open-ended stream of `Submit` calls cannot

@@ -13,8 +13,8 @@ namespace {
 /// samples and doubles the recording stride (see StatsSlot).
 constexpr std::size_t kMaxLatencySamples = 1 << 16;
 
-/// The engine whose WorkerLoop is running on this thread, if any.
-thread_local const QueryEngine* current_worker_engine = nullptr;
+/// The engine one of whose execution slots this thread holds, if any.
+thread_local const QueryEngine* current_slot_engine = nullptr;
 
 }  // namespace
 
@@ -25,6 +25,31 @@ double NearestRankPercentile(const std::vector<double>& sorted, double q) {
   return sorted[std::min(sorted.size(), std::max<std::size_t>(rank, 1)) - 1];
 }
 
+/// Holds an execution slot for one `Execute`: marks the thread as the
+/// engine's own for `OnWorkerThread()`, and on every exit clears the
+/// task's token and hints off the context, then frees the slot.
+class QueryEngine::SlotHold {
+ public:
+  SlotHold(QueryEngine* engine, Slot* slot)
+      : engine_(engine), slot_(slot), outer_(current_slot_engine) {
+    if (slot_ != nullptr) current_slot_engine = engine_;
+  }
+  ~SlotHold() {
+    if (slot_ == nullptr) return;
+    slot_->ctx.set_cancel(nullptr);
+    slot_->ctx.set_plan_hints(nullptr);
+    current_slot_engine = outer_;
+    engine_->ReleaseSlot(slot_);
+  }
+  SlotHold(const SlotHold&) = delete;
+  SlotHold& operator=(const SlotHold&) = delete;
+
+ private:
+  QueryEngine* engine_;
+  Slot* slot_;
+  const QueryEngine* outer_;
+};
+
 QueryEngine::QueryEngine(EngineOptions options)
     : options_(options),
       queue_(options.queue_capacity == 0 ? 1 : options.queue_capacity) {
@@ -33,15 +58,15 @@ QueryEngine::QueryEngine(EngineOptions options)
   if (n <= 0) n = 1;
 
   window_start_ = std::chrono::steady_clock::now();
-  states_.reserve(n);
+  slots_.reserve(n);
+  free_slots_.reserve(n);
   workers_.reserve(n);
   for (int i = 0; i < n; ++i) {
-    states_.push_back(std::make_unique<WorkerState>());
+    slots_.push_back(std::make_unique<Slot>());
+    free_slots_.push_back(slots_.back().get());
   }
-  // Start the pool only after every WorkerState exists: workers index only
-  // their own state, handed to them here.
   for (int i = 0; i < n; ++i) {
-    workers_.emplace_back(&QueryEngine::WorkerLoop, this, states_[i].get());
+    workers_.emplace_back(&QueryEngine::WorkerLoop, this);
   }
 }
 
@@ -66,36 +91,38 @@ int QueryEngine::RegisterMethod(const AreaQuery* query) {
 
 std::future<QueryResult> QueryEngine::Enqueue(Task task, const char* site) {
   std::future<QueryResult> future = task.promise.get_future();
+  // Counted before the push, so no caller takes a slot this task is owed
+  // between the push and a worker's pop.
+  unslotted_.fetch_add(1);
   if (options_.shed_on_full) {
     switch (queue_.TryPush(std::move(task))) {
       case BoundedQueue<Task>::PushResult::kPushed:
         return future;
       case BoundedQueue<Task>::PushResult::kFull:
+        unslotted_.fetch_sub(1);
         throw EngineOverloadedError(options_.queue_capacity);
       case BoundedQueue<Task>::PushResult::kClosed:
         break;
     }
-    throw EngineStoppedError(std::string(site) + ": engine is shut down");
+  } else if (queue_.Push(std::move(task))) {
+    return future;
   }
-  if (!queue_.Push(std::move(task))) {
-    throw EngineStoppedError(std::string(site) + ": engine is shut down");
-  }
-  return future;
+  unslotted_.fetch_sub(1);
+  throw EngineStoppedError(std::string(site) + ": engine is shut down");
 }
 
-std::future<QueryResult> QueryEngine::Submit(Polygon area, int method,
-                                             SubmitOptions opts) {
-  const AreaQuery* query;
+QueryEngine::Task QueryEngine::MakeTask(Polygon area, int method,
+                                        SubmitOptions opts,
+                                        const char* site) {
+  Task task;
   {
     std::lock_guard<std::mutex> lock(methods_mu_);
     if (method < 0 || method >= static_cast<int>(methods_.size())) {
-      throw std::out_of_range("QueryEngine::Submit: unknown method id");
+      throw std::out_of_range(std::string(site) + ": unknown method id");
     }
-    query = methods_[method];
+    task.query = methods_[method];
   }
-  Task task;
   task.area = std::move(area);
-  task.query = query;
   task.method = method;
   task.submitted = std::chrono::steady_clock::now();
   task.cancel = std::move(opts.cancel);
@@ -111,35 +138,98 @@ std::future<QueryResult> QueryEngine::Submit(Polygon area, int method,
                                  std::chrono::duration<double, std::milli>(
                                      opts.deadline_ms)));
   }
-  if (std::optional<std::future<QueryResult>> served =
-          TryServeOnCaller(task)) {
-    return std::move(*served);
+  return task;
+}
+
+std::future<QueryResult> QueryEngine::Submit(Polygon area, int method,
+                                             SubmitOptions opts) {
+  Task task =
+      MakeTask(std::move(area), method, std::move(opts), "QueryEngine::Submit");
+  // A stopped engine serves no hits either; Enqueue throws the typed error.
+  if (!stopped_.load()) {
+    try {
+      // A cache hit has no candidate work left: answering it here saves
+      // the queue hop and worker wakeup, which cost more than the hit.
+      if (std::optional<QueryResult> hit = Execute(task, nullptr, true)) {
+        task.promise.set_value(std::move(*hit));
+        return task.promise.get_future();
+      }
+    } catch (...) {
+      task.promise.set_exception(std::current_exception());
+      return task.promise.get_future();
+    }
   }
   return Enqueue(std::move(task), "QueryEngine::Submit");
 }
 
-std::optional<std::future<QueryResult>> QueryEngine::TryServeOnCaller(
-    Task& task) {
-  // A stopped engine serves nothing; Enqueue throws the typed error.
-  if (stopped_.load()) return std::nullopt;
+QueryResult QueryEngine::Run(Polygon area, int method, SubmitOptions opts) {
+  Task task =
+      MakeTask(std::move(area), method, std::move(opts), "QueryEngine::Run");
+  if (!stopped_.load()) {
+    // An idle slot runs the query right here: no queue hop, no worker
+    // wakeup, no future. Its cache probe happens inside the run.
+    if (Slot* slot = TryTakeCallerSlot()) {
+      return std::move(*Execute(task, slot, true));
+    }
+    if (std::optional<QueryResult> hit = Execute(task, nullptr, true)) {
+      return std::move(*hit);
+    }
+  }
+  return Enqueue(std::move(task), "QueryEngine::Run").get();
+}
+
+QueryEngine::Slot* QueryEngine::TryTakeCallerSlot() {
+  std::lock_guard<std::mutex> lock(slots_mu_);
+  if (free_slots_.empty() || unslotted_.load() != 0) return nullptr;
+  Slot* slot = free_slots_.back();
+  free_slots_.pop_back();
+  return slot;
+}
+
+QueryEngine::Slot* QueryEngine::TakeWorkerSlot() {
+  std::unique_lock<std::mutex> lock(slots_mu_);
+  slot_freed_.wait(lock, [this] { return !free_slots_.empty(); });
+  Slot* slot = free_slots_.back();
+  free_slots_.pop_back();
+  unslotted_.fetch_sub(1);
+  return slot;
+}
+
+void QueryEngine::ReleaseSlot(Slot* slot) {
+  {
+    std::lock_guard<std::mutex> lock(slots_mu_);
+    free_slots_.push_back(slot);
+  }
+  slot_freed_.notify_one();
+}
+
+std::optional<QueryResult> QueryEngine::Execute(Task& task, Slot* slot,
+                                                bool on_caller) {
+  const SlotHold hold(this, slot);
+  // A task whose deadline passed while queued, or whose token was
+  // cancelled before it ran, fails fast here: skipping the run is what
+  // lets an overloaded engine shed stale work, and an aborted query
+  // leaves the cache counters alone.
+  if (task.cancel != nullptr) task.cancel->Check();
   QueryResult result;
-  try {
-    // Checked before the probe, so an aborted query leaves the cache
-    // counters alone — exactly as if a worker had failed it fast.
-    if (task.cancel != nullptr) task.cancel->Check();
-    // A cache hit has no candidate work left: answering it here saves the
-    // queue hop and worker wakeup, which cost more than the hit itself.
+  if (slot == nullptr) {
     if (!task.query->TryServeCached(task.area, task.hints, result.ids,
                                     result.stats)) {
       return std::nullopt;
     }
-  } catch (...) {
-    task.promise.set_exception(std::current_exception());
-    return task.promise.get_future();
+  } else {
+    slot->ctx.set_cancel(task.cancel.get());
+    slot->ctx.set_plan_hints(&task.hints);
+    result.ids = task.query->Run(task.area, slot->ctx);
+    result.stats = slot->ctx.stats;
   }
-  Record(caller_stats_, task, result.stats);
-  task.promise.set_value(std::move(result));
-  return task.promise.get_future();
+  // Ad-hoc fan-out legs (SubmitWith) deliver their result but stay out
+  // of the engine's client-query statistics.
+  if (task.method >= 0) {
+    Record(slot != nullptr ? slot->stats : caller_stats_, task, result.stats,
+           on_caller);
+  }
+  return result;
 }
 
 std::future<QueryResult> QueryEngine::SubmitWith(
@@ -166,17 +256,18 @@ std::vector<QueryResult> QueryEngine::RunBatch(std::span<const Polygon> areas,
 }
 
 bool QueryEngine::OnWorkerThread() const {
-  return current_worker_engine == this;
+  return current_slot_engine == this;
 }
 
 void QueryEngine::Record(StatsSlot& slot, const Task& task,
-                         const QueryStats& stats) {
+                         const QueryStats& stats, bool on_caller) {
   const double latency_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - task.submitted)
           .count();
   std::lock_guard<std::mutex> lock(slot.mu);
   ++slot.completed;
+  slot.ran_on_caller += on_caller;
   if (slot.completed % slot.latency_stride == 0) {
     slot.latencies_ms.push_back(latency_ms);
     if (slot.latencies_ms.size() >= kMaxLatencySamples) {
@@ -201,37 +292,22 @@ void QueryEngine::Record(StatsSlot& slot, const Task& task,
 
 template <typename Fn>
 void QueryEngine::ForEachSlot(Fn fn) const {
-  for (const std::unique_ptr<WorkerState>& state : states_) fn(state->stats);
+  for (const std::unique_ptr<Slot>& slot : slots_) fn(slot->stats);
   fn(caller_stats_);
 }
 
-void QueryEngine::WorkerLoop(WorkerState* state) {
-  current_worker_engine = this;
+void QueryEngine::WorkerLoop() {
   while (std::optional<Task> task = queue_.Pop()) {
-    QueryResult result;
+    // Execute frees the slot before the promise wakes the submitter, so a
+    // client's next `Run` finds it free.
     try {
-      // A task whose deadline passed while queued fails fast here — the
-      // submission-relative deadline covers queue wait, and skipping the
-      // run entirely is what lets an overloaded engine shed stale work.
-      if (task->cancel != nullptr) task->cancel->Check();
-      state->ctx.set_cancel(task->cancel.get());
-      state->ctx.set_plan_hints(&task->hints);
-      result.ids = task->query->Run(task->area, state->ctx);
-      state->ctx.set_cancel(nullptr);
-      state->ctx.set_plan_hints(nullptr);
+      task->promise.set_value(
+          std::move(*Execute(*task, TakeWorkerSlot(), false)));
     } catch (...) {
       // A throwing query must not take down the pool (std::terminate) or
       // strand the caller on an unset future.
-      state->ctx.set_cancel(nullptr);
-      state->ctx.set_plan_hints(nullptr);
       task->promise.set_exception(std::current_exception());
-      continue;
     }
-    result.stats = state->ctx.stats;
-    // Ad-hoc fan-out legs (SubmitWith) deliver their result but stay out
-    // of the engine's client-query statistics.
-    if (task->method >= 0) Record(state->stats, *task, result.stats);
-    task->promise.set_value(std::move(result));
   }
 }
 
@@ -241,6 +317,7 @@ EngineStats QueryEngine::Stats() const {
   ForEachSlot([&](StatsSlot& slot) {
     std::lock_guard<std::mutex> lock(slot.mu);
     out.queries_completed += slot.completed;
+    out.ran_on_caller += slot.ran_on_caller;
     latencies.insert(latencies.end(), slot.latencies_ms.begin(),
                      slot.latencies_ms.end());
     if (out.methods.size() < slot.methods.size()) {
@@ -276,6 +353,7 @@ void QueryEngine::ResetStats() {
   ForEachSlot([](StatsSlot& slot) {
     std::lock_guard<std::mutex> lock(slot.mu);
     slot.completed = 0;
+    slot.ran_on_caller = 0;
     slot.latency_stride = 1;
     slot.latencies_ms.clear();
     slot.methods.clear();

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -48,8 +49,8 @@ struct SubmitOptions {
   /// boundary. Created internally when only a deadline is requested.
   std::shared_ptr<CancelToken> cancel;
   /// Planner hints of this submission (forced method, cache/scatter
-  /// opt-outs). The worker installs them on its `QueryContext` around the
-  /// task — like the cancel token — so a registered `PlannedAreaQuery`
+  /// opt-outs). They are installed on the executing slot's context around
+  /// the run — like the cancel token — so a registered `PlannedAreaQuery`
   /// picks them up through the hint-less `AreaQuery::Run` interface.
   /// Ignored by the fixed-method query objects. Defaults = automatic.
   PlanHints hints{};
@@ -90,6 +91,10 @@ struct EngineStats {
   double latency_p50_ms = 0.0;
   double latency_p95_ms = 0.0;
   double latency_p99_ms = 0.0;
+  /// Completed client queries that executed on the submitting thread:
+  /// `Run` calls that found an execution slot free, plus result-cache
+  /// hits. The rest waited in the queue and ran on a worker.
+  std::uint64_t ran_on_caller = 0;
   /// Per-method IO and work counters, indexed by registration order.
   std::vector<MethodEngineStats> methods;
 };
@@ -101,25 +106,40 @@ struct EngineStats {
 /// statistics are testable against known distributions directly.
 double NearestRankPercentile(const std::vector<double>& sorted, double q);
 
-/// Executes area queries on a fixed pool of worker threads.
+/// Executes area queries on a fixed pool of worker threads, or on the
+/// calling thread while the pool has nothing queued.
 ///
 /// The engine is the concurrency boundary of the library: query objects
 /// are stateless and the `PointDatabase` is immutable after construction,
-/// so the only mutable per-query state is the `QueryContext` scratch arena
-/// — and the engine owns exactly one per worker thread. A context is
-/// reused across every query its worker executes, so steady-state
-/// execution allocates only result vectors.
+/// so the only mutable per-query state is the `QueryContext` scratch arena.
+/// The engine owns `num_threads` *execution slots*, each one context plus
+/// the stats of the queries run on it, and a query runs only while it
+/// holds a slot. So at most `num_threads` queries run at once, whichever
+/// threads run them, and steady-state execution allocates only result
+/// vectors.
+///
+/// **Who runs what.** `Submit` enqueues; a worker pops the task, takes a
+/// free slot (waiting for one if callers hold them all) and runs it.
+/// `Run` blocks: it runs the query on the calling thread when the queue is
+/// empty, no worker is waiting for a slot and a slot is free, and
+/// otherwise enqueues and waits exactly like `Submit(...).get()`. A caller
+/// never takes a slot that a popped or queued task is owed, so a `Run`
+/// never overtakes work submitted before it. Result-cache hits are
+/// answered on the submitting thread by both entry points without a slot.
 ///
 /// Usage:
 ///   QueryEngine engine({.num_threads = 4});
 ///   const int voronoi = engine.RegisterMethod(&voronoi_query);
 ///   auto results = engine.RunBatch(polygons, voronoi);   // blocking
 ///   auto future  = engine.Submit(polygon, voronoi);      // async
+///   auto result  = engine.Run(polygon, voronoi);         // blocking, one
 ///
-/// Thread safety: `Submit`/`RunBatch`/`Stats` may be called from any
+/// Thread safety: `Submit`/`Run`/`RunBatch`/`Stats` may be called from any
 /// thread. `RegisterMethod` must complete before queries that use the new
-/// method id are submitted. Do not call `RunBatch`/`Submit(...).wait()`
-/// from inside a worker (queries never enqueue queries).
+/// method id are submitted. Do not call `Run`/`RunBatch`/
+/// `Submit(...).wait()` from inside a running query (queries never enqueue
+/// queries); a composite query that fans out into its own engine checks
+/// `OnWorkerThread()` and runs inline instead.
 class QueryEngine {
  public:
   explicit QueryEngine(EngineOptions options = {});
@@ -151,6 +171,24 @@ class QueryEngine {
   std::future<QueryResult> Submit(Polygon area, int method = 0,
                                   SubmitOptions opts = {});
 
+  /// Runs one query and returns its result: the blocking form of `Submit`,
+  /// for callers that would wait on the future at once (the server's
+  /// connection threads).
+  ///
+  /// The query runs on the calling thread when the work queue is empty, no
+  /// worker waits for a slot and an execution slot is free; the caller
+  /// holds that slot for the run, so the `num_threads` bound on running
+  /// queries still holds. Otherwise a cache hit is answered here, and any
+  /// other query is enqueued and awaited: it runs after everything queued
+  /// before it. Deadlines count from this call.
+  ///
+  /// Raises what the future of `Submit` would deliver, from this call:
+  /// `EngineStoppedError` after `Stop()`, `EngineOverloadedError` against
+  /// a full queue under `shed_on_full`, `QueryAbortedError` for an expired
+  /// deadline or a cancelled token (without running the query), and
+  /// whatever the query itself throws.
+  QueryResult Run(Polygon area, int method = 0, SubmitOptions opts = {});
+
   /// Enqueues one query against an ad-hoc query object that was never
   /// registered — the scatter path of `RunShardedSnapshotQuery`, whose
   /// per-shard sub-queries are ephemeral objects bound to a pinned
@@ -168,9 +206,11 @@ class QueryEngine {
 
   /// Stops the engine: closes the work queue (queued tasks still run to
   /// completion; to abort them too, cancel their tokens first) and joins
-  /// the workers. Idempotent; racing `Submit`s either enqueue before the
-  /// close or throw `EngineStoppedError` — no submission is silently
-  /// dropped with a stranded future. The destructor calls it.
+  /// the workers. Idempotent; racing `Submit`s and `Run`s either enqueue
+  /// (or start on their caller) before the close or throw
+  /// `EngineStoppedError` — no submission is silently dropped with a
+  /// stranded future. A `Run` already executing on its caller finishes
+  /// there; the engine must outlive it. The destructor calls it.
   void Stop();
 
   /// Runs every polygon through `method` across the pool and returns the
@@ -186,11 +226,12 @@ class QueryEngine {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// True when called from one of *this* engine's worker threads. The
-  /// self-submission guard: a task that blocks on futures of its own
-  /// pool can deadlock it (workers waiting on work only those same
-  /// workers could pop), so composite queries check this and fall back
-  /// to inline execution (see `RunShardedSnapshotQuery`).
+  /// True when called on a thread that holds one of *this* engine's
+  /// execution slots: a worker running a task, or a `Run` caller running
+  /// its query. The self-submission guard: a query that blocks on futures
+  /// of its own engine can deadlock it (slot holders waiting on legs that
+  /// only a slot could run), so composite queries check this and fall
+  /// back to inline execution (see `RunShardedSnapshotQuery`).
   bool OnWorkerThread() const;
 
  private:
@@ -209,8 +250,8 @@ class QueryEngine {
 
   /// Counters of completed client queries, accumulated under the slot's
   /// own mutex and folded into EngineStats by `Stats()`, so no one lock
-  /// serialises the whole pool. Each worker owns one slot; one more
-  /// collects the cache hits `Submit` serves on submitting threads.
+  /// serialises the whole pool. Each execution slot owns one; one more
+  /// collects the cache hits answered on submitting threads.
   ///
   /// Latency samples are decimated once they reach a cap (keep every
   /// other sample, double the recording stride), so an open-ended query
@@ -219,26 +260,42 @@ class QueryEngine {
   struct StatsSlot {
     std::mutex mu;
     std::uint64_t completed = 0;
+    std::uint64_t ran_on_caller = 0;
     std::uint64_t latency_stride = 1;  // Record every stride-th query.
     std::vector<double> latencies_ms;
     std::vector<MethodEngineStats> methods;
   };
 
-  struct WorkerState {
-    QueryContext ctx;  // Touched only by the owning worker.
+  /// One execution slot. Only the thread holding it touches `ctx`.
+  struct Slot {
+    QueryContext ctx;
     StatsSlot stats;
   };
+  /// Holds a slot for one execution (see query_engine.cc).
+  class SlotHold;
 
-  void WorkerLoop(WorkerState* state);
+  void WorkerLoop();
+  Task MakeTask(Polygon area, int method, SubmitOptions opts,
+                const char* site);
   std::future<QueryResult> Enqueue(Task task, const char* site);
-  /// Serves `task` on the calling thread if its token is already expired
-  /// (the future carries the abort) or its answer is cached; returns
-  /// nullopt when the task has to be enqueued.
-  std::optional<std::future<QueryResult>> TryServeOnCaller(Task& task);
+  /// The one execute path, shared by workers, caller runs and cache hits.
+  /// Fails fast on an expired or cancelled token; then runs `task` on
+  /// `slot` (held until return, released on every exit), or with no slot
+  /// answers it from the result cache and returns nullopt on a miss.
+  /// Records each completed client query once. Throws what the query
+  /// throws.
+  std::optional<QueryResult> Execute(Task& task, Slot* slot, bool on_caller);
+  /// Takes a free slot for a `Run` caller, or null when the queue holds
+  /// work, a worker waits for a slot, or every slot is taken.
+  Slot* TryTakeCallerSlot();
+  /// Takes a slot for a worker that popped a task; waits for one.
+  Slot* TakeWorkerSlot();
+  void ReleaseSlot(Slot* slot);
   /// Records one completed client query of `task` into `slot`.
   static void Record(StatsSlot& slot, const Task& task,
-                     const QueryStats& stats);
-  /// Calls `fn` on every stats slot: the workers', then the caller slot.
+                     const QueryStats& stats, bool on_caller);
+  /// Calls `fn` on every stats slot: the execution slots', then the
+  /// caller slot.
   template <typename Fn>
   void ForEachSlot(Fn fn) const;
 
@@ -248,7 +305,18 @@ class QueryEngine {
   std::vector<const AreaQuery*> methods_;
 
   BoundedQueue<Task> queue_;
-  std::vector<std::unique_ptr<WorkerState>> states_;
+  std::vector<std::unique_ptr<Slot>> slots_;
+
+  /// The free slots, LIFO so the warmest scratch context is reused first;
+  /// workers wait on `slot_freed_` for one.
+  std::mutex slots_mu_;
+  std::condition_variable slot_freed_;
+  std::vector<Slot*> free_slots_;
+  /// Tasks enqueued that hold no slot yet: queued, or popped by a worker
+  /// waiting for a slot. Raised before the push, lowered when the worker
+  /// takes its slot; a caller runs only while it is zero.
+  std::atomic<std::size_t> unslotted_{0};
+
   std::vector<std::thread> workers_;
 
   /// Hits served on submitting threads (see `StatsSlot`).

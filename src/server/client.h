@@ -10,6 +10,7 @@
 
 #include "index/spatial_index.h"
 #include "server/protocol.h"
+#include "server/socket_io.h"
 
 namespace vaq {
 
@@ -77,18 +78,27 @@ class QueryClient {
   std::vector<std::uint8_t> RoundTripRaw(std::span<const std::uint8_t> bytes);
 
  private:
-  /// Reads one well-formed response frame; validates its header.
+  /// One response frame; `payload` views the client's payload buffer and
+  /// stays valid until the next read.
   struct Frame {
     Opcode opcode;
-    std::vector<std::uint8_t> payload;
+    std::span<const std::uint8_t> payload;
   };
+  /// Reads one well-formed response frame; validates its header.
   Frame ReadFrame();
+  /// Reads exactly `n` bytes; a closed connection throws.
+  void ReadExact(std::uint8_t* out, std::size_t n);
   void SendFrame(Opcode opcode, std::span<const std::uint8_t> payload);
   /// Reads one response frame, throwing `ServerError` on `kError` and on
   /// an opcode other than `expected` (or `kResultIds`, for queries).
   Frame Expect(Opcode expected);
 
-  int fd_ = -1;
+  int fd_;
+  /// Every response byte comes through this reader, so a whole reply costs
+  /// about one `read()`.
+  BufferedReader reader_;
+  /// Payload of the last frame read; reused across frames.
+  std::vector<std::uint8_t> payload_;
 };
 
 }  // namespace vaq

@@ -298,8 +298,8 @@ std::vector<std::uint8_t> EncodeResultIdsPayload(
   return out;
 }
 
-std::vector<PointId> DecodeResultIdsPayload(
-    std::span<const std::uint8_t> payload) {
+void DecodeResultIdsPayload(std::span<const std::uint8_t> payload,
+                            std::vector<PointId>& out) {
   PayloadReader r{payload};
   const std::uint32_t count = r.GetInt<std::uint32_t>("count");
   if (r.GetInt<std::uint32_t>("reserved") != 0) {
@@ -307,23 +307,23 @@ std::vector<PointId> DecodeResultIdsPayload(
                         "reserved ids bytes are set");
   }
   // count is bounded by the frame itself: 8 bytes per id must fit in the
-  // remaining payload, so a hostile count cannot oversize the reserve.
+  // remaining payload, so a hostile count cannot oversize the resize.
   if (r.Remaining() != std::size_t{count} * 8) {
     throw ProtocolError(ProtocolError::Kind::kMalformedPayload,
                         "id count disagrees with the frame length");
   }
-  std::vector<PointId> ids;
-  ids.reserve(count);
+  const std::size_t base = out.size();
+  out.resize(base + count);
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint64_t id = r.GetInt<std::uint64_t>("id");
     if (id > 0xFFFFFFFFull) {
+      out.resize(base);
       throw ProtocolError(ProtocolError::Kind::kMalformedPayload,
                           "result id exceeds the 32-bit PointId range");
     }
-    ids.push_back(static_cast<PointId>(id));
+    out[base + i] = static_cast<PointId>(id);
   }
   r.ExpectDone("result-ids");
-  return ids;
 }
 
 WireQueryStats SummarizeQueryStats(const QueryStats& stats) {

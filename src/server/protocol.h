@@ -165,8 +165,11 @@ PointId DecodeEraseRequest(std::span<const std::uint8_t> payload);
 /// a wider id type without a version bump.
 std::vector<std::uint8_t> EncodeResultIdsPayload(
     std::span<const PointId> ids);
-std::vector<PointId> DecodeResultIdsPayload(
-    std::span<const std::uint8_t> payload);
+/// Decoding appends the payload's ids to `out`, so a client reassembles a
+/// streamed answer without a temporary per frame; on a throw `out` is left
+/// as it was.
+void DecodeResultIdsPayload(std::span<const std::uint8_t> payload,
+                            std::vector<PointId>& out);
 
 /// `kQueryDone` summary: the per-query cost counters a client can act on
 /// (result count is the authoritative total — the client cross-checks it

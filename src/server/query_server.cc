@@ -6,56 +6,17 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 #include <optional>
 #include <system_error>
 #include <utility>
 
 #include "geometry/wkt.h"
 #include "planner/planned_area_query.h"
+#include "server/socket_io.h"
 
 namespace vaq {
 
 namespace {
-
-/// Reads exactly `n` bytes; false on orderly EOF at a frame boundary
-/// (n == 0 read on the first byte), throws on a mid-frame EOF or error.
-/// EINTR retries; everything else is fatal for the connection.
-bool ReadFull(int fd, std::uint8_t* out, std::size_t n) {
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::read(fd, out + got, n - got);
-    if (r > 0) {
-      got += static_cast<std::size_t>(r);
-      continue;
-    }
-    if (r == 0) {
-      if (got == 0) return false;  // Clean close between frames.
-      throw std::runtime_error("connection closed mid-frame");
-    }
-    if (errno == EINTR) continue;
-    throw std::runtime_error(std::string("read failed: ") +
-                             std::strerror(errno));
-  }
-  return true;
-}
-
-void WriteFull(int fd, const std::uint8_t* data, std::size_t n) {
-  std::size_t sent = 0;
-  while (sent < n) {
-    // MSG_NOSIGNAL: a peer that vanished mid-response is this
-    // connection's problem (EPIPE, handled by the caller), never a
-    // process-wide SIGPIPE.
-    const ssize_t w = ::send(fd, data + sent, n - sent, MSG_NOSIGNAL);
-    if (w > 0) {
-      sent += static_cast<std::size_t>(w);
-      continue;
-    }
-    if (w < 0 && errno == EINTR) continue;
-    throw std::runtime_error(std::string("write failed: ") +
-                             std::strerror(errno));
-  }
-}
 
 std::vector<std::uint8_t> ErrorFrame(WireErrorCode code,
                                      const std::string& detail) {
@@ -84,7 +45,7 @@ QueryServer::QueryServer(DynamicPointDatabase* db, Options options)
           .queue_capacity = options.engine_queue_capacity,
           // Admission control IS the protocol's backpressure story: a
           // full queue must surface as a typed kRetryLater, not as a
-          // connection thread blocked inside Submit.
+          // connection thread blocked inside Run.
           .shed_on_full = true,
       }) {
   method_ = engine_.RegisterMethod(db_->PlannedQuery());
@@ -201,10 +162,11 @@ void QueryServer::AcceptLoop() {
 }
 
 void QueryServer::ServeConnection(Connection* conn) {
+  BufferedReader reader(conn->fd);
   std::uint8_t header[kFrameHeaderBytes];
   std::vector<std::uint8_t> payload;
   try {
-    while (ReadFull(conn->fd, header, sizeof(header))) {
+    while (reader.ReadExact(header, sizeof(header))) {
       ++conn->requests;
       {
         std::lock_guard<std::mutex> lock(counters_mu_);
@@ -225,7 +187,7 @@ void QueryServer::ServeConnection(Connection* conn) {
         ++conn->errors;
         if (e.kind() != ProtocolError::Kind::kBadMagic) {
           const auto frame = ErrorFrame(WireErrorCode::kBadRequest, e.what());
-          WriteFull(conn->fd, frame.data(), frame.size());
+          WriteAll(conn->fd, frame.data(), frame.size());
         }
         break;
       }
@@ -233,12 +195,12 @@ void QueryServer::ServeConnection(Connection* conn) {
       // safe now, and reuses the connection's buffer across requests.
       payload.resize(fh.payload_len);
       if (fh.payload_len > 0 &&
-          !ReadFull(conn->fd, payload.data(), payload.size())) {
+          !reader.ReadExact(payload.data(), payload.size())) {
         break;  // EOF inside the payload: peer vanished; nothing to say.
       }
       const std::vector<std::uint8_t> response =
           HandleRequest(conn, fh.opcode, payload);
-      WriteFull(conn->fd, response.data(), response.size());
+      WriteAll(conn->fd, response.data(), response.size());
     }
   } catch (...) {
     // IO failure (peer reset, shutdown during a blocking read/write):
@@ -253,7 +215,7 @@ void QueryServer::ServeConnection(Connection* conn) {
 }
 
 std::vector<std::uint8_t> QueryServer::HandleRequest(
-    Connection* conn, Opcode opcode, std::vector<std::uint8_t> payload) {
+    Connection* conn, Opcode opcode, std::span<const std::uint8_t> payload) {
   if (stopping_.load(std::memory_order_relaxed)) {
     ++conn->errors;
     return ErrorFrame(WireErrorCode::kShuttingDown,
@@ -263,8 +225,8 @@ std::vector<std::uint8_t> QueryServer::HandleRequest(
     switch (opcode) {
       case Opcode::kQuery: {
         // Shared side of the drain lock: held across the whole request
-        // (submit + wait), so an exclusive COMPACT acquisition is the
-        // barrier "all in-flight requests finished".
+        // (run or queue + wait), so an exclusive COMPACT acquisition is
+        // the barrier "all in-flight requests finished".
         std::shared_lock<std::shared_mutex> drain(drain_mu_);
         return HandleQuery(payload);
       }
@@ -379,7 +341,7 @@ std::vector<std::uint8_t> QueryServer::HandleQuery(
 
   QueryResult result;
   try {
-    result = engine_.Submit(std::move(area), method_, opts).get();
+    result = engine_.Run(std::move(area), method_, std::move(opts));
   } catch (const EngineOverloadedError& e) {
     std::lock_guard<std::mutex> lock(counters_mu_);
     ++counters_.queries_shed;

@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -23,13 +24,21 @@ namespace vaq {
 /// mutations; the server multiplexes them onto one shared `QueryEngine`
 /// pool and streams results back.
 ///
-/// **Threading model.** One accept thread plus one thread per connection
-/// — connection threads do parsing and IO, and every query goes through
-/// `QueryEngine::Submit`, so executions run on the engine pool (CPU
-/// parallelism bounded by `Options::engine_threads` regardless of
-/// connection count) and engine statistics stay in units of client
-/// queries. A result-cache hit is the exception: `Submit` answers it on
-/// the connection thread, with no queue hop, and it is never shed.
+/// **Threading model.** One accept thread plus one thread per connection.
+/// A connection thread reads its requests through one buffered reader,
+/// parses them, and hands each query to `QueryEngine::Run`. While the
+/// engine has nothing queued and one of its `Options::engine_threads`
+/// execution slots is free, the query runs right there on the connection
+/// thread; otherwise it waits in the engine queue and runs on a worker,
+/// behind everything queued before it. Either way at most
+/// `engine_threads` queries execute at once, whatever the connection
+/// count, and engine statistics stay in units of client queries
+/// (`EngineStats::ran_on_caller` counts the ones the connection threads
+/// ran). A result-cache hit is answered on the connection thread without
+/// a slot, and it is never shed. A connection thread that runs a query
+/// holds a slot as a worker does, so the engine's self-scatter guard
+/// (`OnWorkerThread`) keeps a composite query from waiting on legs that no
+/// slot is left to run.
 ///
 /// **Planner routing.** The engine method the server registers is the
 /// database's `PlannedQuery()` — every network query plans, feeds the
@@ -37,7 +46,7 @@ namespace vaq {
 /// `PlanHints` ride in on `SubmitOptions::hints`.
 ///
 /// **Backpressure.** The engine runs with `shed_on_full`: when the work
-/// queue is full, `Submit` throws `EngineOverloadedError`, which the
+/// queue is full, `Run` throws `EngineOverloadedError`, which the
 /// server maps to a typed `kRetryLater` response. An overloaded server
 /// answers *something* for every request — load shedding is visible,
 /// never a silent drop or unbounded queueing.
@@ -125,8 +134,8 @@ class QueryServer {
   void ServeConnection(Connection* conn);
   /// Handles one decoded request frame; returns the response bytes
   /// (one or more frames, the last terminal).
-  std::vector<std::uint8_t> HandleRequest(Connection* conn, Opcode opcode,
-                                          std::vector<std::uint8_t> payload);
+  std::vector<std::uint8_t> HandleRequest(
+      Connection* conn, Opcode opcode, std::span<const std::uint8_t> payload);
   std::vector<std::uint8_t> HandleQuery(std::span<const std::uint8_t> payload);
 
   DynamicPointDatabase* db_;

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "geometry/wkt.h"
 #include "server/client.h"
 #include "server/query_server.h"
+#include "server/socket_io.h"
 #include "workload/point_generator.h"
 #include "workload/polygon_generator.h"
 #include "workload/rng.h"
@@ -324,6 +326,92 @@ TEST_F(ServerLoopbackTest, OverloadShedsWithRetryLater) {
   EXPECT_TRUE(shed) << "the burst never hit admission control";
   EXPECT_TRUE(succeeded) << "retrying after a shed must eventually succeed";
   EXPECT_GT(server_->counters().queries_shed, 0u);
+}
+
+TEST_F(ServerLoopbackTest, UncachedQueriesRunOnConnectionThreadsWhileSlotsFree) {
+  // As many connections as engine threads: a query never finds the slots
+  // taken or work queued, so every one runs on its connection thread,
+  // with no worker hand-off, and still matches the oracle.
+  QueryServer::Options options;
+  options.engine_threads = 2;
+  StartServer(4000, options);
+  const std::vector<Polygon> areas = FixedAreas(31, 8, 0.1);
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> connections;
+  for (int c = 0; c < 2; ++c) {
+    connections.emplace_back([&] {
+      QueryClient client(server_->port());
+      for (const Polygon& area : areas) {
+        WireQueryRequest req;
+        req.wkt = ToWkt(area);
+        req.use_cache = false;
+        if (client.Query(req).ids != Oracle(area)) wrong.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : connections) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  const EngineStats stats = server_->engine_stats();
+  EXPECT_EQ(stats.queries_completed, 2 * areas.size());
+  EXPECT_EQ(stats.ran_on_caller, stats.queries_completed);
+}
+
+TEST_F(ServerLoopbackTest, BusyEngineStillQueuesSomeQueries) {
+  // The overload setup (one engine thread, a one-slot queue, four
+  // connections): the first query finds the engine idle and runs on its
+  // connection thread; queries that arrive while the slot is taken queue
+  // for the worker (or are shed), so not every query runs on a caller.
+  QueryServer::Options options;
+  options.engine_threads = 1;
+  options.engine_queue_capacity = 1;
+  StartServer(20000, options);
+  WireQueryRequest slow;
+  slow.wkt =
+      ToWkt(Polygon{{{0.35, 0.35}, {0.65, 0.35}, {0.65, 0.65}, {0.35, 0.65}}});
+  slow.use_cache = false;
+
+  const auto queued = [&] {
+    const EngineStats s = server_->engine_stats();
+    return s.queries_completed - s.ran_on_caller;
+  };
+  std::vector<std::thread> connections;
+  for (int t = 0; t < 4; ++t) {
+    connections.emplace_back([&] {
+      QueryClient c(server_->port());
+      for (int i = 0; i < 400 && queued() == 0; ++i) {
+        try {
+          c.Query(slow);
+        } catch (const ServerError& e) {
+          ASSERT_EQ(e.code(), WireErrorCode::kRetryLater);
+        }
+      }
+    });
+  }
+  for (std::thread& t : connections) t.join();
+  const EngineStats stats = server_->engine_stats();
+  EXPECT_GE(stats.ran_on_caller, 1u);
+  EXPECT_GT(stats.queries_completed, stats.ran_on_caller)
+      << "with the only slot busy, no query waited for the worker";
+}
+
+TEST_F(ServerLoopbackTest, RequestLargerThanTheReadBufferRoundTrips) {
+  // A ring of ~6000 vertices is a ~150 KB WKT request, more than the
+  // connection's read buffer holds, so the server reads its payload in
+  // place; the answer must still match the oracle.
+  StartServer(3000);
+  std::vector<Point> ring;
+  constexpr int kVertices = 6000;
+  for (int i = 0; i < kVertices; ++i) {
+    const double a = 2.0 * 3.14159265358979323846 * i / kVertices;
+    const double r = (i % 2 == 0) ? 0.4 : 0.37;
+    ring.push_back({0.5 + r * std::cos(a), 0.5 + r * std::sin(a)});
+  }
+  const Polygon area(ring);
+  const std::string wkt = ToWkt(area);
+  ASSERT_GT(wkt.size(), BufferedReader::kBufferBytes);
+  QueryClient client(server_->port());
+  EXPECT_EQ(client.Query(wkt).ids, Oracle(area));
+  EXPECT_TRUE(client.Ping()) << "framing survived the large request";
 }
 
 TEST_F(ServerLoopbackTest, StatsOpcodeReportsEngineAndServerCounters) {

@@ -164,17 +164,33 @@ TEST(ProtocolPayloadTest, ResultIdsRoundTripAndRejectCountMismatch) {
   std::vector<PointId> ids;
   for (PointId i = 0; i < 2000; ++i) ids.push_back(i * 7 + 1);
   const auto bytes = EncodeResultIdsPayload(ids);
-  EXPECT_EQ(DecodeResultIdsPayload(bytes), ids);
-  EXPECT_TRUE(DecodeResultIdsPayload(EncodeResultIdsPayload({})).empty());
+  std::vector<PointId> decoded;
+  DecodeResultIdsPayload(bytes, decoded);
+  EXPECT_EQ(decoded, ids);
+  // Decoding appends: a second frame extends the answer, an empty one
+  // leaves it as it was.
+  DecodeResultIdsPayload(EncodeResultIdsPayload({}), decoded);
+  EXPECT_EQ(decoded, ids);
+  DecodeResultIdsPayload(bytes, decoded);
+  ASSERT_EQ(decoded.size(), 2 * ids.size());
+  EXPECT_TRUE(std::equal(ids.begin(), ids.end(), decoded.begin() + 2000));
 
-  // A count claiming more ids than the frame carries must not reserve
-  // for the claim; it is a typed length mismatch.
+  // A count claiming more ids than the frame carries must not grow the
+  // output for the claim; it is a typed length mismatch.
   auto bad = bytes;
   bad[0] = 0xFF;
   bad[1] = 0xFF;
   bad[2] = 0xFF;
   bad[3] = 0x7F;
-  EXPECT_THROW(DecodeResultIdsPayload(bad), ProtocolError);
+  std::vector<PointId> out = {5};
+  EXPECT_THROW(DecodeResultIdsPayload(bad, out), ProtocolError);
+  EXPECT_EQ(out, std::vector<PointId>{5});
+  // An id past the 32-bit range throws after the output grew; the output
+  // is rolled back to what it held.
+  auto wide = bytes;
+  for (int b = 0; b < 8; ++b) wide[8 + 8 * 1000 + b] = 0xFF;
+  EXPECT_THROW(DecodeResultIdsPayload(wide, out), ProtocolError);
+  EXPECT_EQ(out, std::vector<PointId>{5});
 }
 
 /// Byte-at-a-time little-endian append, independent of the encoder's own
@@ -296,7 +312,8 @@ TEST(ProtocolFuzzTest, RandomBytesNeverCrashAnyDecoder) {
     } catch (const ProtocolError&) {
     }
     try {
-      (void)DecodeResultIdsPayload(bytes);
+      std::vector<PointId> ids;
+      DecodeResultIdsPayload(bytes, ids);
     } catch (const ProtocolError&) {
     }
     try {

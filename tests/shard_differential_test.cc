@@ -8,12 +8,14 @@
 // invariance of the shard assignment, and the stats-merge invariants.
 
 #include <algorithm>
+#include <barrier>
 #include <cstddef>
 #include <cstdlib>
 #include <cstring>
 #include <future>
 #include <numeric>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -225,6 +227,61 @@ TEST(ShardDifferentialTest, SelfScatterEngineDegradesToInlineNotDeadlock) {
     EXPECT_NE(r.stats.plan_reason & plan_reason::kScatter, 0u) << i;
     EXPECT_EQ(r.ids, OracleRun(oracle, oracle_brute, areas[i], ctx));
   }
+}
+
+TEST(ShardDifferentialTest, SelfScatterRunParentsDegradeToInlineNotDeadlock) {
+  // The same misconfiguration with parents arriving through `Run`, from
+  // more threads than there are workers. A caller that finds a slot free
+  // runs its parent on its own thread while holding that slot. Without
+  // the guard it would wait on legs that need a slot too, and once the
+  // callers held every slot, no leg could ever run. With it, parents run
+  // their legs inline and stay exact. (Whether a round reaches the
+  // all-slots-held state is timing-dependent;
+  // `EngineOverloadRunTest.CallerRunsCountAsTheEnginesOwnThreads` pins the
+  // guard's flag itself.)
+  Rng rng(6061);
+  const std::vector<Point> points = GenerateUniformPoints(2000, kUnit, &rng);
+  const PointDatabase oracle(points);
+  const BruteForceAreaQuery oracle_brute(&oracle);
+  const ShardedDatabase sharded(points, ShardOptions(8));
+
+  QueryEngine engine({.num_threads = 2});
+  CostModel model;
+  model.scatter_overhead_ns = 0.0;
+  const PlannedAreaQuery query(&sharded, &engine, ShardPolicy{},
+                               {.cache_capacity = 0, .model = model});
+  const int method = engine.RegisterMethod(&query);
+
+  PolygonSpec spec;
+  spec.query_size_fraction = 0.15;
+  constexpr int kCallers = 6;
+  constexpr int kPerCaller = 4;
+  std::vector<Polygon> areas;
+  for (int i = 0; i < kCallers * kPerCaller; ++i) {
+    areas.push_back(GenerateQueryPolygon(spec, kUnit, &rng));
+  }
+  SubmitOptions voronoi;
+  voronoi.hints.force_method = DynamicMethod::kVoronoi;
+  std::vector<QueryResult> results(areas.size());
+  // Each round releases every caller at once, so callers race for both
+  // slots before any parent has submitted its legs.
+  std::barrier round(kCallers);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int i = c; i < kCallers * kPerCaller; i += kCallers) {
+        round.arrive_and_wait();
+        results[i] = engine.Run(areas[i], method, voronoi);
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  QueryContext ctx;
+  for (std::size_t i = 0; i < areas.size(); ++i) {
+    EXPECT_NE(results[i].stats.plan_reason & plan_reason::kScatter, 0u) << i;
+    EXPECT_EQ(results[i].ids, OracleRun(oracle, oracle_brute, areas[i], ctx));
+  }
+  EXPECT_EQ(engine.Stats().queries_completed, areas.size());
 }
 
 TEST(ShardDifferentialTest, ShardAssignmentIsPermutationInvariant) {

@@ -12,7 +12,9 @@
 //                        SavePointsBinary, or CSV "x,y" lines — format
 //                        sniffed by extension: .csv = CSV, else binary).
 //   --seed S             Generator seed for --points (default 42).
-//   --threads T          Engine worker threads (default 0 = hardware).
+//   --threads T          Engine threads: at most T queries execute at
+//                        once, on connection threads while the engine is
+//                        idle, else on T workers (default 0 = hardware).
 //   --queue-capacity Q   Engine admission bound (default 256). A full
 //                        queue sheds with RETRY_LATER.
 //   --max-deadline-ms D  Ceiling on client-requested deadlines (default
